@@ -33,6 +33,7 @@
 package main
 
 import (
+	"context"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -186,11 +187,12 @@ func renderStatsPane(c *core.Core, cores []ids.CoreID) string {
 	var b strings.Builder
 	b.WriteString("\nmetrics:\n")
 	for _, at := range cores {
-		reply, err := c.StatsAt(at)
+		obs, err := c.ObsAtCtx(context.Background(), at, wire.ObsQuery{Stats: true})
 		if err != nil {
 			fmt.Fprintf(&b, "  %-12s (unreachable: %v)\n", at, err)
 			continue
 		}
+		reply := obs.Stats
 		inv := reply.Counters["invoke_local_total"]
 		fwd := reply.Counters["invoke_forwarded_total"]
 		errs := reply.Counters["invoke_errors_total"]
@@ -199,7 +201,7 @@ func renderStatsPane(c *core.Core, cores []ids.CoreID) string {
 		retries := reply.Counters["request_retries_total"]
 		opened := reply.Counters["breaker_opened_total"]
 		fmt.Fprintf(&b, "  %-12s inv=%d fwd=%d errs=%d moves=%d repairs=%d retries=%d breaker-open=%d%s\n",
-			at, inv, fwd, errs, moves, repairs, retries, opened, latencySummary(reply))
+			at, inv, fwd, errs, moves, repairs, retries, opened, latencySummary(*reply))
 	}
 	return b.String()
 }

@@ -16,6 +16,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"log"
 	"strings"
@@ -184,12 +185,12 @@ func run() error {
 
 	for _, name := range []string{"hq", "branch"} {
 		c, _ := u.Core(name)
-		info, err := c.CoreInfo(fargo.CoreID(name))
+		reply, err := c.ObsAtCtx(context.Background(), fargo.CoreID(name), fargo.ObsQuery{Info: true})
 		if err != nil {
 			return err
 		}
 		var types []string
-		for _, ci := range info.Complets {
+		for _, ci := range reply.Info.Complets {
 			types = append(types, ci.TypeName)
 		}
 		fmt.Printf("%-6s hosts: %s\n", name, strings.Join(types, ", "))

@@ -46,9 +46,10 @@
 //
 // The context-free methods remain and are thin wrappers: they run under the
 // core's Options.RequestTimeout as the default end-to-end budget. The same
-// pattern covers the ops queries — CoreInfoCtx, StatsAtCtx, HealthAtCtx,
-// FlightAtCtx, TracesAtCtx, TraceAtCtx, CheckpointRemoteCtx,
-// LocateViaHomeCtx and InvokeViaHomeCtx are the one-implementation forms. Per-call
+// pattern covers the ops queries — ObsAtCtx (every introspection section in
+// one round-trip: stats, health, core info, flight ring, traces, per-method
+// telemetry, planner statistics), CheckpointRemoteCtx, LocateViaHomeCtx and
+// InvokeViaHomeCtx are the one-implementation forms. Per-call
 // options (WithTimeout, WithNoRetry, WithMaxAttempts) ride the ctx variants.
 // Failures surface as *InvokeError, whose Cause separates a deadline expiry
 // from a cancellation, a peer that answered with an error, and a peer that
@@ -128,6 +129,10 @@ type LinkProfile = netsim.LinkProfile
 
 // Options configures a core.
 type Options = core.Options
+
+// ObsQuery selects the sections of a core's state that Core.ObsAtCtx fetches
+// in one round-trip.
+type ObsQuery = wire.ObsQuery
 
 // WireCodec is the pluggable serialization boundary of the transports
 // (Options.Codec): per-connection streaming sessions for TCP, self-framed

@@ -673,27 +673,14 @@ func (c *Core) NewCompletAtCtx(ctx context.Context, dest ids.CoreID, typeName st
 	if dest == c.id {
 		return c.NewComplet(typeName, args...)
 	}
-	if c.isClosed() {
-		return nil, ErrClosed
-	}
-	op := fmt.Sprintf("new %s at %s", typeName, dest)
-	ctx, cancel := c.withBudget(ctx, opts.Timeout)
-	defer cancel()
 	argBytes, _, err := wire.EncodeArgs(args)
 	if err != nil {
 		return nil, err
 	}
-	payload, err := wire.EncodePayload(wire.NewRequest{TypeName: typeName, Args: argBytes})
+	reply, err := call[wire.NewRequest, wire.NewReply](ctx, c, dest, wire.KindNew,
+		wire.NewRequest{TypeName: typeName, Args: argBytes}, opts, nil)
 	if err != nil {
-		return nil, err
-	}
-	env, err := c.requestOpts(ctx, dest, wire.KindNew, payload, opts)
-	if err != nil {
-		return nil, invokeErr(op, ids.CompletID{}, dest, fmt.Errorf("core: new %s at %s: %w", typeName, dest, err))
-	}
-	var reply wire.NewReply
-	if err := wire.DecodePayload(env.Payload, &reply); err != nil {
-		return nil, err
+		return nil, invokeErr(fmt.Sprintf("new %s at %s", typeName, dest), ids.CompletID{}, dest, err)
 	}
 	if reply.Err != "" {
 		return nil, &peerError{msg: fmt.Sprintf("core: new %s at %s: %s", typeName, dest, reply.Err)}

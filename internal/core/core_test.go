@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
@@ -12,6 +13,7 @@ import (
 	"fargo/internal/ref"
 	"fargo/internal/registry"
 	"fargo/internal/transport"
+	"fargo/internal/wire"
 )
 
 // --- test anchors -----------------------------------------------------------
@@ -340,20 +342,20 @@ func TestCoreInfo(t *testing.T) {
 	if _, err := a.NewCompletAt("b", "Msg", "x"); err != nil {
 		t.Fatal(err)
 	}
-	info, err := a.CoreInfo("b")
+	reply, err := a.ObsAtCtx(context.Background(), "b", wire.ObsQuery{Info: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if info.Core != "b" || len(info.Complets) != 1 || info.Complets[0].TypeName != "Msg" {
+	if info := reply.Info; info.Core != "b" || len(info.Complets) != 1 || info.Complets[0].TypeName != "Msg" {
 		t.Fatalf("info = %+v", info)
 	}
 	// Self-info works without the network.
-	selfInfo, err := a.CoreInfo("a")
+	reply, err = a.ObsAtCtx(context.Background(), "a", wire.ObsQuery{Info: true})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if selfInfo.Core != "a" {
-		t.Fatalf("self info = %+v", selfInfo)
+	if reply.Info.Core != "a" {
+		t.Fatalf("self info = %+v", reply.Info)
 	}
 }
 

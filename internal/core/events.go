@@ -1,6 +1,7 @@
 package core
 
 import (
+	"context"
 	"fmt"
 	"time"
 
@@ -165,7 +166,7 @@ func (m *Monitor) SubscribeAt(core ids.CoreID, opts SubscribeOptions, fn Listene
 	m.subs[token] = local
 	m.mu.Unlock()
 
-	payload, err := wire.EncodePayload(wire.Subscribe{
+	reply, err := call[wire.Subscribe, wire.SubscribeReply](context.Background(), m.c, core, wire.KindSubscribe, wire.Subscribe{
 		Event:          opts.Service,
 		Threshold:      opts.Threshold,
 		Above:          opts.Above,
@@ -173,20 +174,10 @@ func (m *Monitor) SubscribeAt(core ids.CoreID, opts SubscribeOptions, fn Listene
 		Token:          token,
 		Subscriber:     m.c.id,
 		ServiceArgs:    opts.Args,
-	})
+	}, ref.CallOptions{}, nil)
 	if err != nil {
 		m.removeSub(token)
-		return "", err
-	}
-	env, err := m.c.requestBG(core, wire.KindSubscribe, payload)
-	if err != nil {
-		m.removeSub(token)
-		return "", fmt.Errorf("monitor: subscribe at %s: %w", core, err)
-	}
-	var reply wire.SubscribeReply
-	if err := wire.DecodePayload(env.Payload, &reply); err != nil {
-		m.removeSub(token)
-		return "", err
+		return "", fmt.Errorf("monitor: subscribe: %w", err)
 	}
 	if reply.Err != "" {
 		m.removeSub(token)
@@ -201,17 +192,10 @@ func (m *Monitor) UnsubscribeAt(core ids.CoreID, token string) error {
 	if core == m.c.id {
 		return nil
 	}
-	payload, err := wire.EncodePayload(wire.Unsubscribe{Token: token})
+	reply, err := call[wire.Unsubscribe, wire.UnsubscribeReply](context.Background(), m.c, core, wire.KindUnsubscribe,
+		wire.Unsubscribe{Token: token}, ref.CallOptions{}, nil)
 	if err != nil {
-		return err
-	}
-	env, err := m.c.requestBG(core, wire.KindUnsubscribe, payload)
-	if err != nil {
-		return fmt.Errorf("monitor: unsubscribe at %s: %w", core, err)
-	}
-	var reply wire.UnsubscribeReply
-	if err := wire.DecodePayload(env.Payload, &reply); err != nil {
-		return err
+		return fmt.Errorf("monitor: unsubscribe: %w", err)
 	}
 	if reply.Err != "" {
 		return fmt.Errorf("monitor: unsubscribe at %s: %s", core, reply.Err)
@@ -401,13 +385,8 @@ func (m *Monitor) deliver(sub *subscription, ev Event) {
 	}()
 }
 
-// handleSubscribe serves a remote core's subscription request.
-func (m *Monitor) handleSubscribe(env wire.Envelope) (wire.Kind, []byte, error) {
-	var req wire.Subscribe
-	if err := wire.DecodePayload(env.Payload, &req); err != nil {
-		return 0, nil, err
-	}
-	reply := wire.SubscribeReply{}
+// serveSubscribe serves a remote core's subscription request.
+func (m *Monitor) serveSubscribe(_ context.Context, req wire.Subscribe) (wire.SubscribeReply, error) {
 	sub := &subscription{
 		token:      req.Token,
 		event:      req.Event,
@@ -429,27 +408,15 @@ func (m *Monitor) handleSubscribe(env wire.Envelope) (wire.Kind, []byte, error) 
 		}
 	}
 	if err != nil {
-		reply.Err = err.Error()
+		return wire.SubscribeReply{Err: err.Error()}, nil
 	}
-	out, encErr := wire.EncodePayload(reply)
-	if encErr != nil {
-		return 0, nil, encErr
-	}
-	return wire.KindSubscribeReply, out, nil
+	return wire.SubscribeReply{}, nil
 }
 
-// handleUnsubscribe serves a remote core's unsubscription.
-func (m *Monitor) handleUnsubscribe(env wire.Envelope) (wire.Kind, []byte, error) {
-	var req wire.Unsubscribe
-	if err := wire.DecodePayload(env.Payload, &req); err != nil {
-		return 0, nil, err
-	}
+// serveUnsubscribe serves a remote core's unsubscription.
+func (m *Monitor) serveUnsubscribe(_ context.Context, req wire.Unsubscribe) (wire.UnsubscribeReply, error) {
 	m.removeSub(req.Token)
-	out, err := wire.EncodePayload(wire.UnsubscribeReply{})
-	if err != nil {
-		return 0, nil, err
-	}
-	return wire.KindUnsubscribeReply, out, nil
+	return wire.UnsubscribeReply{}, nil
 }
 
 // handleEventNotify dispatches an event shipped from a remote core to the

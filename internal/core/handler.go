@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 
-	"fargo/internal/ids"
 	"fargo/internal/wire"
 )
 
@@ -19,31 +18,29 @@ func (c *Core) handle(ctx context.Context, env wire.Envelope) (wire.Kind, []byte
 	c.notePeer(env.From)
 	switch env.Kind {
 	case wire.KindInvoke:
-		return c.handleInvoke(ctx, env)
+		return serve(ctx, env, wire.KindInvokeReply, c.serveInvoke)
 	case wire.KindLocate:
-		return c.handleLocate(ctx, env)
+		return serve(ctx, env, wire.KindLocateReply, c.serveLocate)
 	case wire.KindMove:
 		return c.handleMove(ctx, env)
 	case wire.KindMoveCmd:
-		return c.handleMoveCmd(ctx, env)
+		return serve(ctx, env, wire.KindMoveCmdReply, c.serveMoveCmd)
 	case wire.KindMoveProbe:
-		return c.handleMoveProbe(env)
+		return serve(ctx, env, wire.KindMoveProbeReply, c.serveMoveProbe)
 	case wire.KindClone:
-		return c.handleClone(ctx, env)
+		return serve(ctx, env, wire.KindCloneReply, c.serveClone)
 	case wire.KindNew:
-		return c.handleNew(env)
+		return serve(ctx, env, wire.KindNewReply, c.serveNew)
 	case wire.KindNameSet:
-		return c.handleNameSet(env)
+		return serve(ctx, env, wire.KindNameSetReply, c.serveNameSet)
 	case wire.KindNameLookup:
-		return c.handleNameLookup(env)
+		return serve(ctx, env, wire.KindNameLookupReply, c.serveNameLookup)
 	case wire.KindPing:
-		return c.handlePing(env)
-	case wire.KindCoreInfo:
-		return c.handleCoreInfo(env)
+		return serve(ctx, env, wire.KindPong, servePing)
 	case wire.KindSubscribe:
-		return c.mon.handleSubscribe(env)
+		return serve(ctx, env, wire.KindSubscribeReply, c.mon.serveSubscribe)
 	case wire.KindUnsubscribe:
-		return c.mon.handleUnsubscribe(env)
+		return serve(ctx, env, wire.KindUnsubscribeReply, c.mon.serveUnsubscribe)
 	case wire.KindEventNotify:
 		c.mon.handleEventNotify(env)
 		return wire.KindEventNotify, nil, nil
@@ -51,112 +48,40 @@ func (c *Core) handle(ctx context.Context, env wire.Envelope) (wire.Kind, []byte
 		c.mon.handleRemoteShutdown(env.From)
 		return wire.KindShutdownNotice, nil, nil
 	case wire.KindProfileQuery:
-		return c.mon.handleProfileQuery(env)
+		return serve(ctx, env, wire.KindProfileQueryReply, c.mon.serveProfileQuery)
 	case wire.KindHomeUpdate:
 		return c.handleHomeUpdate(env)
 	case wire.KindHomeQuery:
-		return c.handleHomeQuery(env)
+		return serve(ctx, env, wire.KindHomeQueryReply, c.serveHomeQuery)
 	case wire.KindCheckpoint:
-		return c.handleCheckpoint(env)
-	case wire.KindStatsQuery:
-		return c.handleStatsQuery(env)
-	case wire.KindTraceQuery:
-		return c.handleTraceQuery(env)
-	case wire.KindHealthQuery:
-		return c.handleHealthQuery(env)
-	case wire.KindFlightQuery:
-		return c.handleFlightQuery(env)
-	case wire.KindPlanStatsQuery:
-		return c.handlePlanStats(env)
+		return serve(ctx, env, wire.KindCheckpointReply, c.serveCheckpoint)
 	case wire.KindObsQuery:
-		return c.handleObsQuery(env)
+		return serve(ctx, env, wire.KindObsQueryReply, c.serveObsQuery)
 	default:
 		return 0, nil, fmt.Errorf("core %s: unhandled envelope kind %s", c.id, env.Kind)
 	}
 }
 
-// handleNew serves remote complet instantiation.
-func (c *Core) handleNew(env wire.Envelope) (wire.Kind, []byte, error) {
-	var req wire.NewRequest
-	if err := wire.DecodePayload(env.Payload, &req); err != nil {
-		return 0, nil, err
-	}
+// serveNew serves remote complet instantiation.
+func (c *Core) serveNew(_ context.Context, req wire.NewRequest) (wire.NewReply, error) {
 	reply := wire.NewReply{}
 	args, decoded, err := wire.DecodeArgs(req.Args)
 	if err != nil {
 		reply.Err = err.Error()
-	} else {
-		c.bindDecoded(decoded)
-		r, err := c.NewComplet(req.TypeName, args...)
-		if err != nil {
-			reply.Err = err.Error()
-		} else {
-			desc, err := r.Descriptor()
-			if err != nil {
-				reply.Err = err.Error()
-			} else {
-				reply.Desc = desc
-			}
-		}
+		return reply, nil
 	}
-	out, err := wire.EncodePayload(reply)
+	c.bindDecoded(decoded)
+	r, err := c.NewComplet(req.TypeName, args...)
+	if err == nil {
+		reply.Desc, err = r.Descriptor()
+	}
 	if err != nil {
-		return 0, nil, err
-	}
-	return wire.KindNewReply, out, nil
-}
-
-// handlePing answers liveness and bandwidth probes.
-func (c *Core) handlePing(env wire.Envelope) (wire.Kind, []byte, error) {
-	var req wire.Ping
-	if err := wire.DecodePayload(env.Payload, &req); err != nil {
-		return 0, nil, err
-	}
-	out, err := wire.EncodePayload(wire.Pong{Seq: req.Seq})
-	if err != nil {
-		return 0, nil, err
-	}
-	return wire.KindPong, out, nil
-}
-
-// handleCoreInfo describes this core to the shell/monitor.
-func (c *Core) handleCoreInfo(env wire.Envelope) (wire.Kind, []byte, error) {
-	reply := wire.CoreInfoReply{
-		Core:     c.id,
-		Complets: c.Complets(),
-		Peers:    c.Peers(),
-	}
-	out, err := wire.EncodePayload(reply)
-	if err != nil {
-		return 0, nil, err
-	}
-	return wire.KindCoreInfoReply, out, nil
-}
-
-// CoreInfo fetches a peer core's description (shell and layout monitor
-// support). It is a thin context.Background wrapper over CoreInfoCtx,
-// running under the core's default request budget; prefer the ctx form.
-func (c *Core) CoreInfo(dest ids.CoreID) (wire.CoreInfoReply, error) {
-	return c.CoreInfoCtx(context.Background(), dest)
-}
-
-// CoreInfoCtx fetches a peer core's description under the caller's context.
-func (c *Core) CoreInfoCtx(ctx context.Context, dest ids.CoreID) (wire.CoreInfoReply, error) {
-	if dest == c.id {
-		return wire.CoreInfoReply{Core: c.id, Complets: c.Complets(), Peers: c.Peers()}, nil
-	}
-	if c.isClosed() {
-		return wire.CoreInfoReply{}, ErrClosed
-	}
-	ctx, cancel := c.withBudget(ctx, 0)
-	defer cancel()
-	env, err := c.request(ctx, dest, wire.KindCoreInfo, nil)
-	if err != nil {
-		return wire.CoreInfoReply{}, fmt.Errorf("core: info of %s: %w", dest, err)
-	}
-	var reply wire.CoreInfoReply
-	if err := wire.DecodePayload(env.Payload, &reply); err != nil {
-		return wire.CoreInfoReply{}, err
+		reply.Err = err.Error()
 	}
 	return reply, nil
+}
+
+// servePing answers liveness and bandwidth probes.
+func servePing(_ context.Context, req wire.Ping) (wire.Pong, error) {
+	return wire.Pong{Seq: req.Seq}, nil
 }

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"context"
-	"fmt"
 	"sort"
 
 	"fargo/internal/flight"
@@ -172,50 +170,6 @@ func (c *Core) healthReply() wire.HealthQueryReply {
 	}
 }
 
-// handleHealthQuery serves the health verdict to a peer (shell, monitor).
-func (c *Core) handleHealthQuery(env wire.Envelope) (wire.Kind, []byte, error) {
-	out, err := wire.EncodePayload(c.healthReply())
-	if err != nil {
-		return 0, nil, err
-	}
-	return wire.KindHealthQueryReply, out, nil
-}
-
-// HealthAt fetches a core's health verdict (this core's own when dest is
-// self). It is a thin context.Background wrapper over HealthAtCtx, running
-// under the core's default request budget; prefer the ctx form.
-func (c *Core) HealthAt(dest ids.CoreID) (wire.HealthQueryReply, error) {
-	return c.HealthAtCtx(context.Background(), dest)
-}
-
-// HealthAtCtx fetches a core's health verdict under the caller's context.
-func (c *Core) HealthAtCtx(ctx context.Context, dest ids.CoreID) (wire.HealthQueryReply, error) {
-	if dest == c.id || dest.Nil() {
-		return c.healthReply(), nil
-	}
-	if c.isClosed() {
-		return wire.HealthQueryReply{}, ErrClosed
-	}
-	payload, err := wire.EncodePayload(wire.HealthQuery{})
-	if err != nil {
-		return wire.HealthQueryReply{}, err
-	}
-	ctx, cancel := c.withBudget(ctx, 0)
-	defer cancel()
-	env, err := c.request(ctx, dest, wire.KindHealthQuery, payload)
-	if err != nil {
-		return wire.HealthQueryReply{}, fmt.Errorf("core: health of %s: %w", dest, err)
-	}
-	var reply wire.HealthQueryReply
-	if err := wire.DecodePayload(env.Payload, &reply); err != nil {
-		return wire.HealthQueryReply{}, err
-	}
-	if reply.Err != "" {
-		return wire.HealthQueryReply{}, &peerError{msg: fmt.Sprintf("core: health of %s: %s", dest, reply.Err)}
-	}
-	return reply, nil
-}
-
 // flightReply snapshots the recorder into the wire form. afterSeq, when
 // nonzero, drops events with Seq <= afterSeq so incremental collectors (the
 // observatory's timeline loop) ship only unseen events.
@@ -243,54 +197,4 @@ func (c *Core) flightReply(max int, afterSeq uint64) wire.FlightQueryReply {
 		})
 	}
 	return reply
-}
-
-// handleFlightQuery serves the flight ring to a peer.
-func (c *Core) handleFlightQuery(env wire.Envelope) (wire.Kind, []byte, error) {
-	var req wire.FlightQuery
-	if err := wire.DecodePayload(env.Payload, &req); err != nil {
-		return 0, nil, err
-	}
-	out, err := wire.EncodePayload(c.flightReply(req.Max, 0))
-	if err != nil {
-		return 0, nil, err
-	}
-	return wire.KindFlightQueryReply, out, nil
-}
-
-// FlightAt fetches a core's flight-recorder ring (this core's own when dest
-// is self; max 0 = everything retained). It is a thin context.Background
-// wrapper over FlightAtCtx, running under the core's default request budget;
-// prefer the ctx form.
-func (c *Core) FlightAt(dest ids.CoreID, max int) (wire.FlightQueryReply, error) {
-	return c.FlightAtCtx(context.Background(), dest, max)
-}
-
-// FlightAtCtx fetches a core's flight-recorder ring under the caller's
-// context.
-func (c *Core) FlightAtCtx(ctx context.Context, dest ids.CoreID, max int) (wire.FlightQueryReply, error) {
-	if dest == c.id || dest.Nil() {
-		return c.flightReply(max, 0), nil
-	}
-	if c.isClosed() {
-		return wire.FlightQueryReply{}, ErrClosed
-	}
-	payload, err := wire.EncodePayload(wire.FlightQuery{Max: max})
-	if err != nil {
-		return wire.FlightQueryReply{}, err
-	}
-	ctx, cancel := c.withBudget(ctx, 0)
-	defer cancel()
-	env, err := c.request(ctx, dest, wire.KindFlightQuery, payload)
-	if err != nil {
-		return wire.FlightQueryReply{}, fmt.Errorf("core: flight of %s: %w", dest, err)
-	}
-	var reply wire.FlightQueryReply
-	if err := wire.DecodePayload(env.Payload, &reply); err != nil {
-		return wire.FlightQueryReply{}, err
-	}
-	if reply.Err != "" {
-		return wire.FlightQueryReply{}, &peerError{msg: fmt.Sprintf("core: flight of %s: %s", dest, reply.Err)}
-	}
-	return reply, nil
 }

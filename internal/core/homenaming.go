@@ -152,21 +152,13 @@ func (c *Core) handleHomeUpdate(env wire.Envelope) (wire.Kind, []byte, error) {
 	return wire.KindHomeUpdate, nil, nil
 }
 
-// handleHomeQuery answers a location query for a complet born here.
-func (c *Core) handleHomeQuery(env wire.Envelope) (wire.Kind, []byte, error) {
-	var req wire.HomeQuery
-	if err := wire.DecodePayload(env.Payload, &req); err != nil {
-		return 0, nil, err
-	}
+// serveHomeQuery answers a location query for a complet born here.
+func (c *Core) serveHomeQuery(_ context.Context, req wire.HomeQuery) (wire.HomeQueryReply, error) {
 	reply := wire.HomeQueryReply{}
 	if loc, ok := c.homes.get(req.Target); ok {
 		reply.Location, reply.Found = loc, true
 	} else if _, ok := c.lookup(req.Target); ok {
 		reply.Location, reply.Found = c.id, true
 	}
-	out, err := wire.EncodePayload(reply)
-	if err != nil {
-		return 0, nil, err
-	}
-	return wire.KindHomeQueryReply, out, nil
+	return reply, nil
 }

@@ -292,23 +292,15 @@ func (c *Core) invokeLocalFrom(ctx context.Context, target, source ids.CompletID
 // context's remaining deadline rides the envelope, so the next core serves
 // under the same budget instead of a fresh one.
 func (c *Core) forwardInvoke(ctx context.Context, next ids.CoreID, target, source ids.CompletID, method string, argBytes []byte, hops int, opts ref.CallOptions) ([]byte, ids.CoreID, error) {
-	payload, err := wire.EncodePayload(wire.InvokeRequest{
+	c.met.invokeFwd.Inc()
+	reply, err := call[wire.InvokeRequest, wire.InvokeReply](ctx, c, next, wire.KindInvoke, wire.InvokeRequest{
 		Target: target,
 		Method: method,
 		Source: source,
 		Args:   argBytes,
 		Hops:   hops,
-	})
+	}, opts, nil)
 	if err != nil {
-		return nil, "", err
-	}
-	c.met.invokeFwd.Inc()
-	env, err := c.requestOpts(ctx, next, wire.KindInvoke, payload, opts)
-	if err != nil {
-		return nil, "", fmt.Errorf("core: forward %s.%s to %s: %w", target, method, next, err)
-	}
-	var reply wire.InvokeReply
-	if err := wire.DecodePayload(env.Payload, &reply); err != nil {
 		return nil, "", err
 	}
 	if reply.Err != "" {
@@ -319,18 +311,14 @@ func (c *Core) forwardInvoke(ctx context.Context, next ids.CoreID, target, sourc
 	return reply.Results, reply.Location, nil
 }
 
-// handleInvoke serves an invocation arriving from a peer: execute locally or
+// serveInvoke serves an invocation arriving from a peer: execute locally or
 // forward further along the chain, then report the authoritative location so
 // every tracker on the path shortens (§3.1). The context carries the
 // request's remaining end-to-end budget, reconstructed by the transport from
 // the envelope's wire deadline.
-func (c *Core) handleInvoke(ctx context.Context, env wire.Envelope) (wire.Kind, []byte, error) {
-	var req wire.InvokeRequest
-	if err := wire.DecodePayload(env.Payload, &req); err != nil {
-		return 0, nil, err
-	}
+func (c *Core) serveInvoke(ctx context.Context, req wire.InvokeRequest) (wire.InvokeReply, error) {
 	if req.Hops > maxHops {
-		return 0, nil, c.tripHopBudget(fmt.Sprintf("invoke %s.%s", req.Target, req.Method), req.Target)
+		return wire.InvokeReply{}, c.tripHopBudget(fmt.Sprintf("invoke %s.%s", req.Target, req.Method), req.Target)
 	}
 	var sp *trace.Span
 	if trace.Sampled(ctx) {
@@ -354,11 +342,7 @@ func (c *Core) handleInvoke(ctx context.Context, env wire.Envelope) (wire.Kind, 
 		reply.Results = resBytes
 		reply.Location = loc
 	}
-	out, encErr := wire.EncodePayload(reply)
-	if encErr != nil {
-		return 0, nil, encErr
-	}
-	return wire.KindInvokeReply, out, nil
+	return reply, nil
 }
 
 // locate resolves the current location of a complet, following and
@@ -386,16 +370,9 @@ func (c *Core) locateHops(ctx context.Context, target ids.CompletID, hint ids.Co
 	if next == c.id {
 		return "", fmt.Errorf("%w: %s (self-referential tracker)", ErrUnknownComplet, target)
 	}
-	payload, err := wire.EncodePayload(wire.LocateRequest{Target: target, Hops: hops + 1})
+	reply, err := call[wire.LocateRequest, wire.LocateReply](ctx, c, next, wire.KindLocate,
+		wire.LocateRequest{Target: target, Hops: hops + 1}, opts, nil)
 	if err != nil {
-		return "", err
-	}
-	env, err := c.requestOpts(ctx, next, wire.KindLocate, payload, opts)
-	if err != nil {
-		return "", fmt.Errorf("core: locate %s via %s: %w", target, next, err)
-	}
-	var reply wire.LocateReply
-	if err := wire.DecodePayload(env.Payload, &reply); err != nil {
 		return "", err
 	}
 	if reply.Err != "" {
@@ -405,22 +382,11 @@ func (c *Core) locateHops(ctx context.Context, target ids.CompletID, hint ids.Co
 	return reply.Location, nil
 }
 
-// handleLocate serves a location query from a peer.
-func (c *Core) handleLocate(ctx context.Context, env wire.Envelope) (wire.Kind, []byte, error) {
-	var req wire.LocateRequest
-	if err := wire.DecodePayload(env.Payload, &req); err != nil {
-		return 0, nil, err
-	}
-	reply := wire.LocateReply{}
+// serveLocate serves a location query from a peer.
+func (c *Core) serveLocate(ctx context.Context, req wire.LocateRequest) (wire.LocateReply, error) {
 	loc, err := c.locateHops(ctx, req.Target, "", req.Hops, ref.CallOptions{})
 	if err != nil {
-		reply.Err = err.Error()
-	} else {
-		reply.Location = loc
+		return wire.LocateReply{Err: err.Error()}, nil
 	}
-	out, encErr := wire.EncodePayload(reply)
-	if encErr != nil {
-		return 0, nil, encErr
-	}
-	return wire.KindLocateReply, out, nil
+	return wire.LocateReply{Location: loc}, nil
 }

@@ -47,7 +47,7 @@ func TestPerMethodTelemetry(t *testing.T) {
 		t.Fatal("Fail should fail")
 	}
 
-	rows, err := a.MethodStatsAt(context.Background(), a.ID())
+	rows, err := methodRows(a, a.ID())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -105,7 +105,7 @@ func TestMethodTelemetrySurvivesMove(t *testing.T) {
 	}
 
 	// The new host serves the full history under the unchanged identity.
-	rows, err := a.MethodStatsAt(context.Background(), "c")
+	rows, err := methodRows(a, "c")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestMethodTelemetrySurvivesMove(t *testing.T) {
 	}
 
 	// The old host dropped both the row and the labeled series.
-	oldRows, err := a.MethodStatsAt(context.Background(), "b")
+	oldRows, err := methodRows(a, "b")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,7 +135,7 @@ func TestMethodTelemetrySurvivesMove(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		invoke1(t, r, "Print")
 	}
-	rows, err = a.MethodStatsAt(context.Background(), "c")
+	rows, err = methodRows(a, "c")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,11 +168,7 @@ func TestMethodExemplarCapturesTraceID(t *testing.T) {
 		t.Fatalf("sampled invocation left no exemplar: %+v", h)
 	}
 	// The exemplar resolves against the core's own span collector.
-	spans, err := a.TraceAt(a.ID(), mustParseTraceID(t, traceID))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(spans) == 0 {
+	if spans := a.traceSpans(uint64(mustParseTraceID(t, traceID))); len(spans) == 0 {
 		t.Fatalf("exemplar trace %s resolves to no spans", traceID)
 	}
 }
@@ -187,7 +183,7 @@ func TestPerMethodStatsDisabled(t *testing.T) {
 		t.Fatal(err)
 	}
 	invoke1(t, r, "Print")
-	rows, err := a.MethodStatsAt(context.Background(), a.ID())
+	rows, err := methodRows(a, a.ID())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -199,4 +195,11 @@ func TestPerMethodStatsDisabled(t *testing.T) {
 			t.Fatalf("instruments disabled but series %s registered", name)
 		}
 	}
+}
+
+// methodRows reads a core's per-method telemetry table through the
+// introspection query.
+func methodRows(c *Core, dest ids.CoreID) ([]wire.MethodStat, error) {
+	reply, err := c.ObsAtCtx(context.Background(), dest, wire.ObsQuery{Methods: true})
+	return reply.Methods, err
 }

@@ -294,17 +294,10 @@ func (m *Monitor) InstantAt(core ids.CoreID, service string, args ...string) (fl
 	if core == m.c.id {
 		return m.Instant(service, args...)
 	}
-	payload, err := wire.EncodePayload(wire.ProfileQuery{Service: service, Args: args})
+	reply, err := call[wire.ProfileQuery, wire.ProfileQueryReply](context.Background(), m.c, core, wire.KindProfileQuery,
+		wire.ProfileQuery{Service: service, Args: args}, ref.CallOptions{}, nil)
 	if err != nil {
-		return 0, err
-	}
-	env, err := m.c.requestBG(core, wire.KindProfileQuery, payload)
-	if err != nil {
-		return 0, fmt.Errorf("monitor: query %s at %s: %w", service, core, err)
-	}
-	var reply wire.ProfileQueryReply
-	if err := wire.DecodePayload(env.Payload, &reply); err != nil {
-		return 0, err
+		return 0, fmt.Errorf("monitor: query %s: %w", service, err)
 	}
 	if reply.Err != "" {
 		return 0, fmt.Errorf("monitor: query %s at %s: %s", service, core, reply.Err)
@@ -312,23 +305,13 @@ func (m *Monitor) InstantAt(core ids.CoreID, service string, args ...string) (fl
 	return reply.Value, nil
 }
 
-func (m *Monitor) handleProfileQuery(env wire.Envelope) (wire.Kind, []byte, error) {
-	var req wire.ProfileQuery
-	if err := wire.DecodePayload(env.Payload, &req); err != nil {
-		return 0, nil, err
-	}
-	reply := wire.ProfileQueryReply{}
+// serveProfileQuery answers a peer's instant measurement.
+func (m *Monitor) serveProfileQuery(_ context.Context, req wire.ProfileQuery) (wire.ProfileQueryReply, error) {
 	v, err := m.Instant(req.Service, req.Args...)
 	if err != nil {
-		reply.Err = err.Error()
-	} else {
-		reply.Value = v
+		return wire.ProfileQueryReply{Err: err.Error()}, nil
 	}
-	out, err := wire.EncodePayload(reply)
-	if err != nil {
-		return 0, nil, err
-	}
-	return wire.KindProfileQueryReply, out, nil
+	return wire.ProfileQueryReply{Value: v}, nil
 }
 
 // --- continuous interface ----------------------------------------------------
@@ -483,7 +466,8 @@ func (m *Monitor) pingRTT(peer ids.CoreID, n int) (time.Duration, error) {
 		return 0, err
 	}
 	// No retries here: a transparently retried probe would report the sum
-	// of attempts as one RTT and corrupt the latency/bandwidth profile.
+	// of attempts as one RTT and corrupt the latency/bandwidth profile. The
+	// clock covers the transport round trip only, not the payload codec.
 	ctx, cancel := m.c.withBudget(context.Background(), 0)
 	defer cancel()
 	start := time.Now()

@@ -201,17 +201,13 @@ func (c *Core) moveCommand(ctx context.Context, target ids.CompletID, hint ids.C
 		if next == c.id {
 			return fmt.Errorf("%w: %s (self-referential tracker)", ErrUnknownComplet, target)
 		}
-		payload, err := wire.EncodePayload(wire.MoveCommand{
+		reply, err := call[wire.MoveCommand, wire.MoveCommandReply](ctx, c, next, wire.KindMoveCmd, wire.MoveCommand{
 			Target:             target,
 			Dest:               dest,
 			ContinuationMethod: contMethod,
 			ContinuationArgs:   contArgs,
 			Hops:               hops + attempt + 1,
-		})
-		if err != nil {
-			return err
-		}
-		env, err := c.requestOpts(ctx, next, wire.KindMoveCmd, payload, opts)
+		}, opts, nil)
 		if err != nil {
 			// Self-healing (repair.go): route around a dead chain hop by
 			// re-resolving through the target's home core, once.
@@ -221,11 +217,7 @@ func (c *Core) moveCommand(ctx context.Context, target ids.CompletID, hint ids.C
 					continue
 				}
 			}
-			return fmt.Errorf("core: route move of %s via %s: %w", target, next, err)
-		}
-		var reply wire.MoveCommandReply
-		if err := wire.DecodePayload(env.Payload, &reply); err != nil {
-			return err
+			return fmt.Errorf("core: route move of %s: %w", target, err)
 		}
 		if reply.Err != "" {
 			if strings.Contains(reply.Err, ErrMoveInFlight.Error()) {
@@ -243,13 +235,9 @@ func (c *Core) moveCommand(ctx context.Context, target ids.CompletID, hint ids.C
 	}
 }
 
-// handleMoveCmd serves a routed movement command under the remaining budget
+// serveMoveCmd serves a routed movement command under the remaining budget
 // the envelope carried.
-func (c *Core) handleMoveCmd(ctx context.Context, env wire.Envelope) (wire.Kind, []byte, error) {
-	var req wire.MoveCommand
-	if err := wire.DecodePayload(env.Payload, &req); err != nil {
-		return 0, nil, err
-	}
+func (c *Core) serveMoveCmd(ctx context.Context, req wire.MoveCommand) (wire.MoveCommandReply, error) {
 	ctx, sp := c.tracer.ChildSpan(ctx, "serve move-cmd")
 	if sp != nil {
 		sp.SetAttr("target", req.Target.String())
@@ -262,11 +250,7 @@ func (c *Core) handleMoveCmd(ctx context.Context, env wire.Envelope) (wire.Kind,
 		sp.SetError(err)
 		reply.Err = err.Error()
 	}
-	out, err := wire.EncodePayload(reply)
-	if err != nil {
-		return 0, nil, err
-	}
-	return wire.KindMoveCmdReply, out, nil
+	return reply, nil
 }
 
 // moveLocal performs the owner-side movement protocol (§3.3):
@@ -460,12 +444,14 @@ func (c *Core) moveLocal(ctx context.Context, rootID ids.CompletID, dest ids.Cor
 	// acknowledgement — DESIGN.md §13) let a crashed source converge to
 	// exactly one live copy on recovery.
 	pm := &pendingMove{epoch: c.moveEpochs.Next(), dest: dest, root: rootID}
+	closureBytes := 0
 	for _, e := range entries {
 		if !e.Dup {
 			pm.complets = append(pm.complets, e.ID)
 		}
+		closureBytes += len(e.Payload)
 	}
-	payload, err := wire.EncodePayload(wire.MoveRequest{
+	bundle := wire.MoveRequest{
 		Entries:            entries,
 		ContinuationMethod: contMethod,
 		ContinuationArgs:   contArgs,
@@ -478,9 +464,6 @@ func (c *Core) moveLocal(ctx context.Context, rootID ids.CompletID, dest ids.Cor
 		Meters: c.mon.exportMeters(pm.complets),
 		// Per-method SLO telemetry travels the same way (DESIGN.md §16).
 		MethodMeters: c.mon.exportMethodMeters(pm.complets),
-	})
-	if err != nil {
-		return fail(err)
 	}
 	if c.stepCrash(StepBeforePrepare, rootID) {
 		return fail(errSimulatedCrash)
@@ -496,15 +479,9 @@ func (c *Core) moveLocal(ctx context.Context, rootID ids.CompletID, dest ids.Cor
 	if bsp != nil {
 		bsp.SetAttr("dest", dest.String())
 		bsp.SetAttr("complets", strconv.Itoa(len(entries)))
-		bsp.SetAttr("bytes", strconv.Itoa(len(payload)))
+		bsp.SetAttr("bytes", strconv.Itoa(closureBytes))
 	}
-	env, err := c.requestOpts(ctx, dest, wire.KindMove, payload, opts)
-	var reply wire.MoveReply
-	if err == nil {
-		if derr := wire.DecodePayload(env.Payload, &reply); derr != nil {
-			err = derr
-		}
-	}
+	reply, err := call[wire.MoveRequest, wire.MoveReply](ctx, c, dest, wire.KindMove, bundle, opts, nil)
 	if err != nil {
 		if ctx.Err() != nil {
 			// The caller's budget died mid-shipment; it cannot wait for an
@@ -513,7 +490,7 @@ func (c *Core) moveLocal(ctx context.Context, rootID ids.CompletID, dest ids.Cor
 			// settles it — commit-and-release if the bundle installed,
 			// rollback if the destination durably refuses.
 			c.resolveAsync(pm)
-			return fail(fmt.Errorf("core: move bundle to %s: %w", dest, err))
+			return fail(err)
 		}
 		// The outcome is unknown — the bundle (or its acknowledgement) was
 		// lost. Ask the destination directly before giving up.
@@ -528,13 +505,13 @@ func (c *Core) moveLocal(ctx context.Context, rootID ids.CompletID, dest ids.Cor
 			// Unresolvable right now: the move stays pending (further moves
 			// of these complets fail with ErrMoveInFlight) until Recover
 			// reaches the destination.
-			return fail(fmt.Errorf("core: move bundle to %s: %w (outcome unknown; move left pending for recovery)", dest, err))
+			return fail(fmt.Errorf("%w (outcome unknown; move left pending for recovery)", err))
 		default:
 			// The destination durably refused the epoch: safe rollback.
 			if _, serr := c.settleMove(pm.epoch, journal.OpAbort); serr != nil {
 				return fail(fmt.Errorf("core: move %s to %s: abort: %w", rootID, dest, serr))
 			}
-			return fail(fmt.Errorf("core: move bundle to %s: %w", dest, err))
+			return fail(err)
 		}
 	} else if reply.Err != "" {
 		// The destination answered with a verdict: it did not install.
@@ -563,7 +540,7 @@ func (c *Core) moveLocal(ctx context.Context, rootID ids.CompletID, dest ids.Cor
 		Kind:          flight.KindMove,
 		Complet:       rootID.String(),
 		Peer:          dest.String(),
-		Bytes:         len(payload),
+		Bytes:         closureBytes,
 		DurationNanos: time.Since(protoStart).Nanoseconds(),
 		Detail:        fmt.Sprintf("%d complet(s)", len(entries)),
 	})
@@ -627,17 +604,10 @@ func (c *Core) cloneCommand(ctx context.Context, target ids.CompletID, dest ids.
 		if next == c.id {
 			return ids.CompletID{}, fmt.Errorf("%w: %s (self-referential tracker)", ErrUnknownComplet, target)
 		}
-		payload, err := wire.EncodePayload(wire.CloneCommand{Target: target, Dest: dest, Hops: hops + attempt + 1})
+		reply, err := call[wire.CloneCommand, wire.CloneCommandReply](ctx, c, next, wire.KindClone,
+			wire.CloneCommand{Target: target, Dest: dest, Hops: hops + attempt + 1}, opts, nil)
 		if err != nil {
-			return ids.CompletID{}, err
-		}
-		env, err := c.requestOpts(ctx, next, wire.KindClone, payload, opts)
-		if err != nil {
-			return ids.CompletID{}, fmt.Errorf("core: route clone of %s via %s: %w", target, next, err)
-		}
-		var reply wire.CloneCommandReply
-		if err := wire.DecodePayload(env.Payload, &reply); err != nil {
-			return ids.CompletID{}, err
+			return ids.CompletID{}, fmt.Errorf("core: route clone of %s: %w", target, err)
 		}
 		if reply.Err != "" {
 			return ids.CompletID{}, &peerError{msg: fmt.Sprintf("core: clone %s: %s", target, reply.Err)}
@@ -661,23 +631,15 @@ func (c *Core) cloneLocal(ctx context.Context, target ids.CompletID, dest ids.Co
 		// Local clone: install directly.
 		return c.installDuplicate(entry.typeName, data)
 	}
-	payload, err := wire.EncodePayload(wire.MoveRequest{
+	reply, err := call[wire.MoveRequest, wire.MoveReply](ctx, c, dest, wire.KindMove, wire.MoveRequest{
 		Entries: []wire.BundleEntry{{
 			ID:       target,
 			TypeName: entry.typeName,
 			Payload:  data,
 			Dup:      true,
 		}},
-	})
+	}, opts, nil)
 	if err != nil {
-		return ids.CompletID{}, err
-	}
-	env, err := c.requestOpts(ctx, dest, wire.KindMove, payload, opts)
-	if err != nil {
-		return ids.CompletID{}, fmt.Errorf("core: clone bundle to %s: %w", dest, err)
-	}
-	var reply wire.MoveReply
-	if err := wire.DecodePayload(env.Payload, &reply); err != nil {
 		return ids.CompletID{}, err
 	}
 	if reply.Err != "" {
@@ -690,24 +652,13 @@ func (c *Core) cloneLocal(ctx context.Context, target ids.CompletID, dest ids.Co
 	return newID, nil
 }
 
-// handleClone serves a routed clone command.
-func (c *Core) handleClone(ctx context.Context, env wire.Envelope) (wire.Kind, []byte, error) {
-	var req wire.CloneCommand
-	if err := wire.DecodePayload(env.Payload, &req); err != nil {
-		return 0, nil, err
-	}
-	reply := wire.CloneCommandReply{}
+// serveClone serves a routed clone command.
+func (c *Core) serveClone(ctx context.Context, req wire.CloneCommand) (wire.CloneCommandReply, error) {
 	newID, err := c.cloneCommand(ctx, req.Target, req.Dest, req.Hops, ref.CallOptions{})
 	if err != nil {
-		reply.Err = err.Error()
-	} else {
-		reply.NewID = newID
+		return wire.CloneCommandReply{Err: err.Error()}, nil
 	}
-	out, err := wire.EncodePayload(reply)
-	if err != nil {
-		return 0, nil, err
-	}
-	return wire.KindCloneReply, out, nil
+	return wire.CloneCommandReply{NewID: newID}, nil
 }
 
 // installDuplicate decodes a duplicate payload (encoded by encodeDuplicate)
@@ -745,31 +696,23 @@ type arrivedComplet struct {
 // cannot start before the deadline is refused outright, so the sender keeps
 // the complets instead of racing a timed-out reply.
 func (c *Core) handleMove(ctx context.Context, env wire.Envelope) (wire.Kind, []byte, error) {
-	var req wire.MoveRequest
-	if err := wire.DecodePayload(env.Payload, &req); err != nil {
-		return 0, nil, err
-	}
-	_, sp := c.tracer.ChildSpan(ctx, "move.install")
-	if sp != nil {
-		sp.SetAttr("from", env.From.String())
-		sp.SetAttr("complets", strconv.Itoa(len(req.Entries)))
-	}
-	defer sp.Finish()
-	var reply wire.MoveReply
-	if err := ctx.Err(); err != nil {
-		reply.Err = fmt.Sprintf("bundle refused: %v", err)
-		sp.SetError(err)
-	} else {
-		reply = c.installBundle(env.From, req, env.Payload)
+	return serve(ctx, env, wire.KindMoveReply, func(ctx context.Context, req wire.MoveRequest) (wire.MoveReply, error) {
+		_, sp := c.tracer.ChildSpan(ctx, "move.install")
+		if sp != nil {
+			sp.SetAttr("from", env.From.String())
+			sp.SetAttr("complets", strconv.Itoa(len(req.Entries)))
+		}
+		defer sp.Finish()
+		if err := ctx.Err(); err != nil {
+			sp.SetError(err)
+			return wire.MoveReply{Err: fmt.Sprintf("bundle refused: %v", err)}, nil
+		}
+		reply := c.installBundle(env.From, req, env.Payload)
 		if reply.Err != "" {
 			sp.SetAttr("error", reply.Err)
 		}
-	}
-	out, err := wire.EncodePayload(reply)
-	if err != nil {
-		return 0, nil, err
-	}
-	return wire.KindMoveReply, out, nil
+		return reply, nil
+	})
 }
 
 // installBundle installs an arriving bundle. raw is the encoded MoveRequest

@@ -96,28 +96,14 @@ func (c *Core) NameAtCtx(ctx context.Context, dest ids.CoreID, name string, r *r
 	if dest == c.id {
 		return c.Name(name, r)
 	}
-	if c.isClosed() {
-		return ErrClosed
-	}
-	o := ref.BuildCallOptions(opts)
-	ctx, cancel := c.withBudget(ctx, o.Timeout)
-	defer cancel()
 	desc, err := r.Descriptor()
 	if err != nil {
 		return err
 	}
-	payload, err := wire.EncodePayload(wire.NameSet{Name: name, Desc: desc})
+	reply, err := call[wire.NameSet, wire.NameSetReply](ctx, c, dest, wire.KindNameSet,
+		wire.NameSet{Name: name, Desc: desc}, ref.BuildCallOptions(opts), nil)
 	if err != nil {
-		return err
-	}
-	env, err := c.requestOpts(ctx, dest, wire.KindNameSet, payload, o)
-	if err != nil {
-		return invokeErr(fmt.Sprintf("name %q at %s", name, dest), r.Target(), dest,
-			fmt.Errorf("core: name %q at %s: %w", name, dest, err))
-	}
-	var reply wire.NameSetReply
-	if err := wire.DecodePayload(env.Payload, &reply); err != nil {
-		return err
+		return invokeErr(fmt.Sprintf("name %q at %s", name, dest), r.Target(), dest, err)
 	}
 	if reply.Err != "" {
 		return &peerError{msg: fmt.Sprintf("core: name %q at %s: %s", name, dest, reply.Err)}
@@ -138,24 +124,10 @@ func (c *Core) LookupAtCtx(ctx context.Context, dest ids.CoreID, name string, op
 		r, ok := c.Lookup(name)
 		return r, ok, nil
 	}
-	if c.isClosed() {
-		return nil, false, ErrClosed
-	}
-	o := ref.BuildCallOptions(opts)
-	ctx, cancel := c.withBudget(ctx, o.Timeout)
-	defer cancel()
-	payload, err := wire.EncodePayload(wire.NameLookup{Name: name})
+	reply, err := call[wire.NameLookup, wire.NameLookupReply](ctx, c, dest, wire.KindNameLookup,
+		wire.NameLookup{Name: name}, ref.BuildCallOptions(opts), nil)
 	if err != nil {
-		return nil, false, err
-	}
-	env, err := c.requestOpts(ctx, dest, wire.KindNameLookup, payload, o)
-	if err != nil {
-		return nil, false, invokeErr(fmt.Sprintf("lookup %q at %s", name, dest), ids.CompletID{}, dest,
-			fmt.Errorf("core: lookup %q at %s: %w", name, dest, err))
-	}
-	var reply wire.NameLookupReply
-	if err := wire.DecodePayload(env.Payload, &reply); err != nil {
-		return nil, false, err
+		return nil, false, invokeErr(fmt.Sprintf("lookup %q at %s", name, dest), ids.CompletID{}, dest, err)
 	}
 	if reply.Err != "" {
 		return nil, false, &peerError{msg: fmt.Sprintf("core: lookup %q at %s: %s", name, dest, reply.Err)}
@@ -172,11 +144,7 @@ func (c *Core) LookupAtCtx(ctx context.Context, dest ids.CoreID, name string, op
 	return r, true, nil
 }
 
-func (c *Core) handleNameSet(env wire.Envelope) (wire.Kind, []byte, error) {
-	var req wire.NameSet
-	if err := wire.DecodePayload(env.Payload, &req); err != nil {
-		return 0, nil, err
-	}
+func (c *Core) serveNameSet(_ context.Context, req wire.NameSet) (wire.NameSetReply, error) {
 	reply := wire.NameSetReply{}
 	r, err := ref.FromDescriptor(req.Desc)
 	if err != nil {
@@ -188,18 +156,10 @@ func (c *Core) handleNameSet(env wire.Envelope) (wire.Kind, []byte, error) {
 		c.enrichAnchorType(r)
 		c.setLocalName(req.Name, r)
 	}
-	out, err := wire.EncodePayload(reply)
-	if err != nil {
-		return 0, nil, err
-	}
-	return wire.KindNameSetReply, out, nil
+	return reply, nil
 }
 
-func (c *Core) handleNameLookup(env wire.Envelope) (wire.Kind, []byte, error) {
-	var req wire.NameLookup
-	if err := wire.DecodePayload(env.Payload, &req); err != nil {
-		return 0, nil, err
-	}
+func (c *Core) serveNameLookup(_ context.Context, req wire.NameLookup) (wire.NameLookupReply, error) {
 	reply := wire.NameLookupReply{}
 	if r, ok := c.Lookup(req.Name); ok {
 		desc, err := r.Descriptor()
@@ -209,9 +169,5 @@ func (c *Core) handleNameLookup(env wire.Envelope) (wire.Kind, []byte, error) {
 			reply.Desc, reply.Found = desc, true
 		}
 	}
-	out, err := wire.EncodePayload(reply)
-	if err != nil {
-		return 0, nil, err
-	}
-	return wire.KindNameLookupReply, out, nil
+	return reply, nil
 }

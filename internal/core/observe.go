@@ -9,6 +9,7 @@ import (
 
 	"fargo/internal/ids"
 	"fargo/internal/metrics"
+	"fargo/internal/ref"
 	"fargo/internal/stats"
 	"fargo/internal/trace"
 	"fargo/internal/wire"
@@ -66,7 +67,7 @@ func newCoreMetrics(reg *metrics.Registry) *coreMetrics {
 	}
 }
 
-// --- stats query ------------------------------------------------------------
+// --- stats section ----------------------------------------------------------
 
 // HistStatFromSnapshot mirrors a stats snapshot into the wire form, exemplars
 // included (wire stays free of stats types, so the mirror lives here).
@@ -128,50 +129,6 @@ func (c *Core) statsReply() wire.StatsQueryReply {
 	return reply
 }
 
-// handleStatsQuery serves a metrics snapshot to a peer (shell, monitor).
-func (c *Core) handleStatsQuery(env wire.Envelope) (wire.Kind, []byte, error) {
-	out, err := wire.EncodePayload(c.statsReply())
-	if err != nil {
-		return 0, nil, err
-	}
-	return wire.KindStatsQueryReply, out, nil
-}
-
-// StatsAt fetches a core's metrics snapshot (this core's own when dest is
-// self). It is a thin context.Background wrapper over StatsAtCtx, running
-// under the core's default request budget; prefer the ctx form.
-func (c *Core) StatsAt(dest ids.CoreID) (wire.StatsQueryReply, error) {
-	return c.StatsAtCtx(context.Background(), dest)
-}
-
-// StatsAtCtx fetches a core's metrics snapshot under the caller's context.
-func (c *Core) StatsAtCtx(ctx context.Context, dest ids.CoreID) (wire.StatsQueryReply, error) {
-	if dest == c.id || dest.Nil() {
-		return c.statsReply(), nil
-	}
-	if c.isClosed() {
-		return wire.StatsQueryReply{}, ErrClosed
-	}
-	payload, err := wire.EncodePayload(wire.StatsQuery{})
-	if err != nil {
-		return wire.StatsQueryReply{}, err
-	}
-	ctx, cancel := c.withBudget(ctx, 0)
-	defer cancel()
-	env, err := c.request(ctx, dest, wire.KindStatsQuery, payload)
-	if err != nil {
-		return wire.StatsQueryReply{}, fmt.Errorf("core: stats of %s: %w", dest, err)
-	}
-	var reply wire.StatsQueryReply
-	if err := wire.DecodePayload(env.Payload, &reply); err != nil {
-		return wire.StatsQueryReply{}, err
-	}
-	if reply.Err != "" {
-		return wire.StatsQueryReply{}, &peerError{msg: fmt.Sprintf("core: stats of %s: %s", dest, reply.Err)}
-	}
-	return reply, nil
-}
-
 // FormatStats renders a stats reply as the plain-text dump the shell and
 // monitor print.
 func FormatStats(w io.Writer, reply wire.StatsQueryReply) {
@@ -186,52 +143,40 @@ func FormatStats(w io.Writer, reply wire.StatsQueryReply) {
 	snap.WriteText(w)
 }
 
-// --- trace query ------------------------------------------------------------
+// --- traces section ---------------------------------------------------------
 
 // maxTraceSummaries bounds a trace listing reply.
 const maxTraceSummaries = 32
 
-// handleTraceQuery serves either recent trace summaries (Trace == 0) or the
-// retained spans of one trace from this core's collector.
-func (c *Core) handleTraceQuery(env wire.Envelope) (wire.Kind, []byte, error) {
-	var req wire.TraceQuery
-	if err := wire.DecodePayload(env.Payload, &req); err != nil {
-		return 0, nil, err
+// traceSummaries lists the most recent traces retained by this core's
+// collector (max 0 = maxTraceSummaries).
+func (c *Core) traceSummaries(max int) []wire.TraceSummary {
+	if max <= 0 {
+		max = maxTraceSummaries
 	}
-	reply := c.traceReply(req)
-	out, err := wire.EncodePayload(reply)
-	if err != nil {
-		return 0, nil, err
+	sums := trace.Summarize(c.tracer.Collector().Snapshot(), max)
+	out := make([]wire.TraceSummary, 0, len(sums))
+	for _, s := range sums {
+		out = append(out, wire.TraceSummary{
+			Trace:          uint64(s.Trace),
+			Root:           s.Root,
+			Spans:          s.Spans,
+			StartUnixNanos: s.Start.UnixNano(),
+			DurationNanos:  int64(s.Duration),
+		})
 	}
-	return wire.KindTraceQueryReply, out, nil
+	return out
 }
 
-func (c *Core) traceReply(req wire.TraceQuery) wire.TraceQueryReply {
-	col := c.tracer.Collector()
-	if req.Trace == 0 {
-		max := req.Max
-		if max <= 0 {
-			max = maxTraceSummaries
-		}
-		sums := trace.Summarize(col.Snapshot(), max)
-		reply := wire.TraceQueryReply{Summaries: make([]wire.TraceSummary, 0, len(sums))}
-		for _, s := range sums {
-			reply.Summaries = append(reply.Summaries, wire.TraceSummary{
-				Trace:          uint64(s.Trace),
-				Root:           s.Root,
-				Spans:          s.Spans,
-				StartUnixNanos: s.Start.UnixNano(),
-				DurationNanos:  int64(s.Duration),
-			})
-		}
-		return reply
-	}
-	spans := col.TraceSpans(trace.TraceID(req.Trace))
-	reply := wire.TraceQueryReply{Spans: make([]wire.TraceSpan, 0, len(spans))}
+// traceSpans returns the spans of one trace retained by this core's
+// collector.
+func (c *Core) traceSpans(id uint64) []wire.TraceSpan {
+	spans := c.tracer.Collector().TraceSpans(trace.TraceID(id))
+	out := make([]wire.TraceSpan, 0, len(spans))
 	for _, sp := range spans {
-		reply.Spans = append(reply.Spans, spanToWire(sp))
+		out = append(out, spanToWire(sp))
 	}
-	return reply
+	return out
 }
 
 func spanToWire(sp trace.Span) wire.TraceSpan {
@@ -279,73 +224,11 @@ func SpansFromWire(in []wire.TraceSpan) []trace.Span {
 	return out
 }
 
-// TracesAt lists recent traces retained at a core (max 0 = server default).
-// Thin context.Background wrapper over TracesAtCtx; prefer the ctx form.
-func (c *Core) TracesAt(dest ids.CoreID, max int) ([]wire.TraceSummary, error) {
-	return c.TracesAtCtx(context.Background(), dest, max)
-}
+// --- the introspection query ------------------------------------------------
 
-// TracesAtCtx lists recent traces retained at a core under the caller's
-// context.
-func (c *Core) TracesAtCtx(ctx context.Context, dest ids.CoreID, max int) ([]wire.TraceSummary, error) {
-	reply, err := c.traceQuery(ctx, dest, wire.TraceQuery{Max: max})
-	if err != nil {
-		return nil, err
-	}
-	return reply.Summaries, nil
-}
-
-// TraceAt fetches one trace's spans retained at a core. A full cross-core
-// view merges TraceAt results from every involved core (each collector only
-// holds the spans recorded there). Thin context.Background wrapper over
-// TraceAtCtx; prefer the ctx form.
-func (c *Core) TraceAt(dest ids.CoreID, id trace.TraceID) ([]wire.TraceSpan, error) {
-	return c.TraceAtCtx(context.Background(), dest, id)
-}
-
-// TraceAtCtx fetches one trace's spans retained at a core under the
-// caller's context.
-func (c *Core) TraceAtCtx(ctx context.Context, dest ids.CoreID, id trace.TraceID) ([]wire.TraceSpan, error) {
-	reply, err := c.traceQuery(ctx, dest, wire.TraceQuery{Trace: uint64(id)})
-	if err != nil {
-		return nil, err
-	}
-	return reply.Spans, nil
-}
-
-func (c *Core) traceQuery(ctx context.Context, dest ids.CoreID, req wire.TraceQuery) (wire.TraceQueryReply, error) {
-	if dest == c.id || dest.Nil() {
-		return c.traceReply(req), nil
-	}
-	if c.isClosed() {
-		return wire.TraceQueryReply{}, ErrClosed
-	}
-	payload, err := wire.EncodePayload(req)
-	if err != nil {
-		return wire.TraceQueryReply{}, err
-	}
-	ctx, cancel := c.withBudget(ctx, 0)
-	defer cancel()
-	env, err := c.request(ctx, dest, wire.KindTraceQuery, payload)
-	if err != nil {
-		return wire.TraceQueryReply{}, fmt.Errorf("core: traces of %s: %w", dest, err)
-	}
-	var reply wire.TraceQueryReply
-	if err := wire.DecodePayload(env.Payload, &reply); err != nil {
-		return wire.TraceQueryReply{}, err
-	}
-	if reply.Err != "" {
-		return wire.TraceQueryReply{}, &peerError{msg: fmt.Sprintf("core: traces of %s: %s", dest, reply.Err)}
-	}
-	return reply, nil
-}
-
-// --- batched observability query --------------------------------------------
-
-// obsReply composes the selected per-core observability slices into one
-// reply. It reuses the single-query builders, so the batched form can never
-// drift from the individual endpoints.
-func (c *Core) obsReply(req wire.ObsQuery) wire.ObsQueryReply {
+// serveObsQuery composes the selected sections of this core's state into one
+// reply.
+func (c *Core) serveObsQuery(_ context.Context, req wire.ObsQuery) (wire.ObsQueryReply, error) {
 	reply := wire.ObsQueryReply{Core: c.id}
 	if req.Stats {
 		s := c.statsReply()
@@ -363,26 +246,28 @@ func (c *Core) obsReply(req wire.ObsQuery) wire.ObsQueryReply {
 		reply.Flight = &f
 	}
 	if req.Traces {
-		t := c.traceReply(wire.TraceQuery{Max: req.TraceMax})
-		reply.Traces = &t
+		reply.Traces = &wire.TraceQueryReply{Summaries: c.traceSummaries(req.TraceMax)}
 	}
 	if req.Trace != 0 {
-		reply.Spans = c.traceReply(wire.TraceQuery{Trace: req.Trace}).Spans
+		reply.Spans = c.traceSpans(req.Trace)
 	}
 	if req.Methods {
 		reply.Methods = c.mon.MethodStats()
 	}
-	return reply
+	if req.Plan {
+		p := c.PlanStats()
+		reply.Plan = &p
+	}
+	return reply, nil
 }
 
-// MethodStatsAt fetches a core's per-method telemetry table (this core's own
-// when dest is self), sorted by descending call count.
-func (c *Core) MethodStatsAt(ctx context.Context, dest ids.CoreID) ([]wire.MethodStat, error) {
-	reply, err := c.ObsAtCtx(ctx, dest, wire.ObsQuery{Methods: true})
-	if err != nil {
-		return nil, err
-	}
-	return reply.Methods, nil
+// ObsAtCtx fetches the selected sections of a core's state in a single
+// round-trip (this core's own state when dest is nil or self). It is the one
+// introspection accessor: shells, the planner and the observatory all read
+// a core through it.
+func (c *Core) ObsAtCtx(ctx context.Context, dest ids.CoreID, req wire.ObsQuery) (wire.ObsQueryReply, error) {
+	return call(ctx, c, dest, wire.KindObsQuery, req, ref.CallOptions{},
+		func() (wire.ObsQueryReply, error) { return c.serveObsQuery(ctx, req) })
 }
 
 // FormatMethodStats renders a per-method telemetry table for the shell's
@@ -404,49 +289,6 @@ func FormatMethodStats(w io.Writer, rows []wire.MethodStat, max int) {
 			time.Duration(r.Latency.P95).Round(time.Microsecond),
 			time.Duration(r.Latency.P99).Round(time.Microsecond))
 	}
-}
-
-// handleObsQuery serves the batched observability query (the observatory's
-// one-round-trip-per-member refresh).
-func (c *Core) handleObsQuery(env wire.Envelope) (wire.Kind, []byte, error) {
-	var req wire.ObsQuery
-	if err := wire.DecodePayload(env.Payload, &req); err != nil {
-		return 0, nil, err
-	}
-	out, err := wire.EncodePayload(c.obsReply(req))
-	if err != nil {
-		return 0, nil, err
-	}
-	return wire.KindObsQueryReply, out, nil
-}
-
-// ObsAtCtx fetches the selected observability slices of a core in a single
-// round-trip (this core's own state when dest is self).
-func (c *Core) ObsAtCtx(ctx context.Context, dest ids.CoreID, req wire.ObsQuery) (wire.ObsQueryReply, error) {
-	if dest == c.id || dest.Nil() {
-		return c.obsReply(req), nil
-	}
-	if c.isClosed() {
-		return wire.ObsQueryReply{}, ErrClosed
-	}
-	payload, err := wire.EncodePayload(req)
-	if err != nil {
-		return wire.ObsQueryReply{}, err
-	}
-	ctx, cancel := c.withBudget(ctx, 0)
-	defer cancel()
-	env, err := c.request(ctx, dest, wire.KindObsQuery, payload)
-	if err != nil {
-		return wire.ObsQueryReply{}, fmt.Errorf("core: obs of %s: %w", dest, err)
-	}
-	var reply wire.ObsQueryReply
-	if err := wire.DecodePayload(env.Payload, &reply); err != nil {
-		return wire.ObsQueryReply{}, err
-	}
-	if reply.Err != "" {
-		return wire.ObsQueryReply{}, &peerError{msg: fmt.Sprintf("core: obs of %s: %s", dest, reply.Err)}
-	}
-	return reply, nil
 }
 
 // ExportChromeTrace renders this core's retained spans as Chrome trace_event

@@ -290,27 +290,10 @@ func (c *Core) CheckpointRemote(dest ids.CoreID, path string) (int, error) {
 // CheckpointRemoteCtx asks a peer core to checkpoint itself under the
 // caller's context.
 func (c *Core) CheckpointRemoteCtx(ctx context.Context, dest ids.CoreID, path string) (int, error) {
-	if dest == c.id {
-		if err := c.CheckpointFile(path); err != nil {
-			return 0, err
-		}
-		return c.CompletCount(), nil
-	}
-	if c.isClosed() {
-		return 0, ErrClosed
-	}
-	payload, err := wire.EncodePayload(wire.CheckpointRequest{Path: path})
+	req := wire.CheckpointRequest{Path: path}
+	reply, err := call(ctx, c, dest, wire.KindCheckpoint, req, ref.CallOptions{},
+		func() (wire.CheckpointReply, error) { return c.serveCheckpoint(ctx, req) })
 	if err != nil {
-		return 0, err
-	}
-	ctx, cancel := c.withBudget(ctx, 0)
-	defer cancel()
-	env, err := c.request(ctx, dest, wire.KindCheckpoint, payload)
-	if err != nil {
-		return 0, fmt.Errorf("core: checkpoint %s: %w", dest, err)
-	}
-	var reply wire.CheckpointReply
-	if err := wire.DecodePayload(env.Payload, &reply); err != nil {
 		return 0, err
 	}
 	if reply.Err != "" {
@@ -319,25 +302,15 @@ func (c *Core) CheckpointRemoteCtx(ctx context.Context, dest ids.CoreID, path st
 	return reply.Complets, nil
 }
 
-// handleCheckpoint serves a routed checkpoint command.
-func (c *Core) handleCheckpoint(env wire.Envelope) (wire.Kind, []byte, error) {
-	var req wire.CheckpointRequest
-	if err := wire.DecodePayload(env.Payload, &req); err != nil {
-		return 0, nil, err
-	}
-	reply := wire.CheckpointReply{}
+// serveCheckpoint checkpoints this core to a path on its own host.
+func (c *Core) serveCheckpoint(_ context.Context, req wire.CheckpointRequest) (wire.CheckpointReply, error) {
 	if req.Path == "" {
-		reply.Err = "empty checkpoint path"
-	} else if err := c.CheckpointFile(req.Path); err != nil {
-		reply.Err = err.Error()
-	} else {
-		reply.Complets = c.CompletCount()
+		return wire.CheckpointReply{Err: "empty checkpoint path"}, nil
 	}
-	out, err := wire.EncodePayload(reply)
-	if err != nil {
-		return 0, nil, err
+	if err := c.CheckpointFile(req.Path); err != nil {
+		return wire.CheckpointReply{Err: err.Error()}, nil
 	}
-	return wire.KindCheckpointReply, out, nil
+	return wire.CheckpointReply{Complets: c.CompletCount()}, nil
 }
 
 // decodeSnapshot decodes a ModeSnapshot closure.

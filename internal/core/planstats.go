@@ -1,8 +1,6 @@
 package core
 
 import (
-	"context"
-	"fmt"
 	"time"
 
 	"fargo/internal/ids"
@@ -50,44 +48,4 @@ func (c *Core) PlanStats() wire.PlanStatsQueryReply {
 		Load:         len(infos),
 		CapacityFree: c.capacityFree(),
 	}
-}
-
-// PlanStatsAt fetches a member core's planner snapshot. It is a thin
-// context.Background wrapper over PlanStatsAtCtx; prefer the ctx form.
-func (c *Core) PlanStatsAt(dest ids.CoreID) (wire.PlanStatsQueryReply, error) {
-	return c.PlanStatsAtCtx(context.Background(), dest)
-}
-
-// PlanStatsAtCtx fetches a member core's planner snapshot under the caller's
-// context.
-func (c *Core) PlanStatsAtCtx(ctx context.Context, dest ids.CoreID) (wire.PlanStatsQueryReply, error) {
-	if dest == c.id {
-		return c.PlanStats(), nil
-	}
-	if c.isClosed() {
-		return wire.PlanStatsQueryReply{}, ErrClosed
-	}
-	ctx, cancel := c.withBudget(ctx, 0)
-	defer cancel()
-	env, err := c.request(ctx, dest, wire.KindPlanStatsQuery, nil)
-	if err != nil {
-		return wire.PlanStatsQueryReply{}, fmt.Errorf("core: plan stats of %s: %w", dest, err)
-	}
-	var reply wire.PlanStatsQueryReply
-	if err := wire.DecodePayload(env.Payload, &reply); err != nil {
-		return wire.PlanStatsQueryReply{}, err
-	}
-	if reply.Err != "" {
-		return reply, fmt.Errorf("core: plan stats of %s: %s", dest, reply.Err)
-	}
-	return reply, nil
-}
-
-// handlePlanStats serves a planner-collector query.
-func (c *Core) handlePlanStats(wire.Envelope) (wire.Kind, []byte, error) {
-	out, err := wire.EncodePayload(c.PlanStats())
-	if err != nil {
-		return 0, nil, err
-	}
-	return wire.KindPlanStatsQueryReply, out, nil
 }

@@ -243,19 +243,9 @@ func (c *Core) settleMove(epoch uint64, op journal.Op) (bool, error) {
 // known is false when the destination could not be reached, answered with an
 // error, or is still installing — the move stays pending then.
 func (c *Core) probeMoveOutcome(ctx context.Context, dest ids.CoreID, source ids.CoreID, epoch uint64, root ids.CompletID, opts ref.CallOptions) (installed, known bool) {
-	payload, err := wire.EncodePayload(wire.MoveProbe{Source: source, Epoch: epoch, Root: root})
-	if err != nil {
-		return false, false
-	}
-	env, err := c.requestOpts(ctx, dest, wire.KindMoveProbe, payload, opts)
-	if err != nil {
-		return false, false
-	}
-	var reply wire.MoveProbeReply
-	if err := wire.DecodePayload(env.Payload, &reply); err != nil {
-		return false, false
-	}
-	if reply.Err != "" || reply.InProgress {
+	reply, err := call[wire.MoveProbe, wire.MoveProbeReply](ctx, c, dest, wire.KindMoveProbe,
+		wire.MoveProbe{Source: source, Epoch: epoch, Root: root}, opts, nil)
+	if err != nil || reply.Err != "" || reply.InProgress {
 		return false, false
 	}
 	return reply.Installed, true
@@ -441,24 +431,11 @@ func (c *Core) journalInstall(from ids.CoreID, epoch uint64, moved []ids.Complet
 	return nil
 }
 
-// handleMoveProbe serves a recovery probe: has the (Source, Epoch) move
+// serveMoveProbe serves a recovery probe: has the (Source, Epoch) move
 // installed here? Answering "no" appends a durable REFUSE record first, so
 // the answer is a promise — a late bundle for that epoch can never install
 // after the source rolled back on our word.
-func (c *Core) handleMoveProbe(env wire.Envelope) (wire.Kind, []byte, error) {
-	var req wire.MoveProbe
-	if err := wire.DecodePayload(env.Payload, &req); err != nil {
-		return 0, nil, err
-	}
-	reply := c.moveProbeVerdict(req)
-	out, err := wire.EncodePayload(reply)
-	if err != nil {
-		return 0, nil, err
-	}
-	return wire.KindMoveProbeReply, out, nil
-}
-
-func (c *Core) moveProbeVerdict(req wire.MoveProbe) wire.MoveProbeReply {
+func (c *Core) serveMoveProbe(_ context.Context, req wire.MoveProbe) (wire.MoveProbeReply, error) {
 	key := moveKey{source: req.Source, epoch: req.Epoch}
 	var reply wire.MoveProbeReply
 
@@ -494,7 +471,7 @@ func (c *Core) moveProbeVerdict(req wire.MoveProbe) wire.MoveProbeReply {
 	c.recMu.Unlock()
 
 	_, reply.Hosted = c.lookup(req.Root)
-	return reply
+	return reply, nil
 }
 
 // reinstallMissingLocked re-installs, from their INSTALL records' payloads,

@@ -121,30 +121,11 @@ func (c *Core) repointTracker(target ids.CompletID, loc ids.CoreID) bool {
 // single round trip, under the caller's context and call options (the
 // context-first core of LocateViaHome).
 func (c *Core) locateViaHomeCtx(ctx context.Context, id ids.CompletID, opts ref.CallOptions) (ids.CoreID, error) {
-	if id.Birth == c.id {
-		if loc, ok := c.homes.get(id); ok {
-			return loc, nil
-		}
-		// Never reported: if it is still here, that is the answer.
-		if _, ok := c.lookup(id); ok {
-			return c.id, nil
-		}
-		return "", fmt.Errorf("%w: %s (no home record)", ErrUnknownComplet, id)
-	}
-	payload, err := wire.EncodePayload(wire.HomeQuery{Target: id})
-	if err != nil {
-		return "", err
-	}
-	env, err := c.requestOpts(ctx, id.Birth, wire.KindHomeQuery, payload, opts)
+	q := wire.HomeQuery{Target: id}
+	reply, err := call(ctx, c, id.Birth, wire.KindHomeQuery, q, opts,
+		func() (wire.HomeQueryReply, error) { return c.serveHomeQuery(ctx, q) })
 	if err != nil {
 		return "", fmt.Errorf("core: home query for %s: %w", id, err)
-	}
-	var reply wire.HomeQueryReply
-	if err := wire.DecodePayload(env.Payload, &reply); err != nil {
-		return "", err
-	}
-	if reply.Err != "" {
-		return "", fmt.Errorf("core: home query for %s: %s", id, reply.Err)
 	}
 	if !reply.Found {
 		return "", fmt.Errorf("%w: %s (home has no record)", ErrUnknownComplet, id)

@@ -74,10 +74,8 @@ func (p RetryPolicy) normalize() RetryPolicy {
 // excluded — a retry after a lost reply could execute them twice.
 func idempotentKind(kind wire.Kind) bool {
 	switch kind {
-	case wire.KindLocate, wire.KindNameLookup, wire.KindCoreInfo,
-		wire.KindProfileQuery, wire.KindPing, wire.KindHomeQuery,
-		wire.KindStatsQuery, wire.KindTraceQuery,
-		wire.KindHealthQuery, wire.KindFlightQuery, wire.KindMoveProbe:
+	case wire.KindLocate, wire.KindNameLookup, wire.KindProfileQuery,
+		wire.KindPing, wire.KindHomeQuery, wire.KindObsQuery, wire.KindMoveProbe:
 		return true
 	}
 	return false
@@ -142,16 +140,12 @@ func jittered(d time.Duration, jitter float64) time.Duration {
 	return time.Duration(float64(d) - spread/2 + rand.Float64()*spread)
 }
 
-// request issues one inter-core request under the caller's context with the
-// core's default call options. The context's deadline is stamped on the wire
-// envelope, so the peer serves the request under the same remaining budget.
-func (c *Core) request(ctx context.Context, to ids.CoreID, kind wire.Kind, payload []byte) (wire.Envelope, error) {
-	return c.requestOpts(ctx, to, kind, payload, ref.CallOptions{})
-}
-
-// requestOpts is request with per-call retry overrides. Idempotent kinds are
-// retried on transient failures with jittered exponential backoff; all other
-// kinds get exactly one attempt.
+// requestOpts issues one inter-core request under the caller's context. The
+// context's deadline is stamped on the wire envelope, so the peer serves the
+// request under the same remaining budget. Idempotent kinds are retried on
+// transient failures with jittered exponential backoff (opts may override the
+// attempt budget or disable retries); all other kinds get exactly one
+// attempt.
 func (c *Core) requestOpts(ctx context.Context, to ids.CoreID, kind wire.Kind, payload []byte, opts ref.CallOptions) (wire.Envelope, error) {
 	// Circuit breaker: fail fast when the peer is suspected down. Pings are
 	// exempt — they are the probes that close the circuit again — and so are
@@ -216,21 +210,13 @@ func (c *Core) requestOpts(ctx context.Context, to ids.CoreID, kind wire.Kind, p
 	return wire.Envelope{}, lastErr
 }
 
-// requestBG issues a request under a fresh default budget — for context-free
-// legacy surfaces and internal background work that has no caller deadline
-// to inherit.
-func (c *Core) requestBG(to ids.CoreID, kind wire.Kind, payload []byte) (wire.Envelope, error) {
-	ctx, cancel := c.withBudget(context.Background(), 0)
-	defer cancel()
-	return c.request(ctx, to, kind, payload)
-}
-
 // withBudget derives the working context for one pipeline entry point: an
 // explicit per-call timeout always applies (tightening any caller deadline);
 // otherwise a context that carries no deadline of its own gets the core's
-// RequestTimeout as the end-to-end default. The resulting deadline travels on
-// the wire, so tracker-chain hops and movement stages deduct elapsed time
-// from one shared budget instead of restarting the clock per hop.
+// RequestTimeout as the end-to-end default, and one that does is used as is.
+// The resulting deadline travels on the wire, so tracker-chain hops and
+// movement stages deduct elapsed time from one shared budget instead of
+// restarting the clock per hop.
 func (c *Core) withBudget(ctx context.Context, override time.Duration) (context.Context, context.CancelFunc) {
 	if ctx == nil {
 		ctx = context.Background()
@@ -241,5 +227,5 @@ func (c *Core) withBudget(ctx context.Context, override time.Duration) (context.
 	if _, ok := ctx.Deadline(); !ok {
 		return context.WithTimeout(ctx, c.opts.RequestTimeout)
 	}
-	return context.WithCancel(ctx)
+	return ctx, func() {}
 }

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"fargo/internal/trace"
+	"fargo/internal/wire"
 )
 
 // traceCluster builds named cores with sampling fully on, so every pipeline
@@ -26,11 +27,11 @@ func mergedTrace(t *testing.T, cl *cluster, via *Core, id trace.TraceID, cores .
 	t.Helper()
 	var spans []trace.Span
 	for _, name := range cores {
-		wireSpans, err := via.TraceAt(cl.core(name).ID(), id)
+		reply, err := via.ObsAtCtx(context.Background(), cl.core(name).ID(), wire.ObsQuery{Trace: uint64(id)})
 		if err != nil {
-			t.Fatalf("TraceAt(%s): %v", name, err)
+			t.Fatalf("trace at %s: %v", name, err)
 		}
-		spans = append(spans, SpansFromWire(wireSpans)...)
+		spans = append(spans, SpansFromWire(reply.Spans)...)
 	}
 	return spans
 }
@@ -285,10 +286,7 @@ func TestTraceRepairRetry(t *testing.T) {
 	}
 
 	// The repair also shows in the metrics: one chain repair, zero failures.
-	snap, err := a.StatsAt(a.ID())
-	if err != nil {
-		t.Fatal(err)
-	}
+	snap := a.statsReply()
 	if snap.Counters["chain_repairs_total"] != 1 {
 		t.Fatalf("chain_repairs_total = %d, want 1", snap.Counters["chain_repairs_total"])
 	}
@@ -315,10 +313,7 @@ func TestTraceSamplingOffRecordsNothing(t *testing.T) {
 			t.Fatalf("core %s retained %d spans with sampling off", name, n)
 		}
 	}
-	snap, err := a.StatsAt(a.ID())
-	if err != nil {
-		t.Fatal(err)
-	}
+	snap := a.statsReply()
 	if snap.Counters["moves_total"] != 1 {
 		t.Fatalf("moves_total = %d, want 1", snap.Counters["moves_total"])
 	}

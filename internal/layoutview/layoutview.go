@@ -1,6 +1,6 @@
 // Package layoutview maintains a live model of which complets reside on
 // which cores — the data behind the paper's graphical monitor (Figure 4).
-// The view seeds itself with CoreInfo snapshots and then stays current by
+// The view seeds itself with core-info snapshots and then stays current by
 // subscribing to completArrived/completDeparted events on every watched
 // core, exactly like the original viewer ("a movement of a complet is
 // tracked by the viewer, who listens for such events at the inspected
@@ -9,6 +9,7 @@
 package layoutview
 
 import (
+	"context"
 	"fmt"
 	"sort"
 	"strings"
@@ -83,19 +84,19 @@ func (v *View) Start() error {
 	return v.Refresh()
 }
 
-// Refresh re-seeds the view with CoreInfo snapshots (also used by --once
+// Refresh re-seeds the view with core-info snapshots (also used by --once
 // rendering without subscriptions).
 func (v *View) Refresh() error {
 	var firstErr error
 	for _, watched := range v.cores {
-		info, err := v.c.CoreInfo(watched)
+		reply, err := v.c.ObsAtCtx(context.Background(), watched, wire.ObsQuery{Info: true})
 		if err != nil {
 			if firstErr == nil {
 				firstErr = fmt.Errorf("layoutview: snapshot of %s: %w", watched, err)
 			}
 			continue
 		}
-		v.applySnapshot(info.Core, info.Complets)
+		v.applySnapshot(reply.Info.Core, reply.Info.Complets)
 	}
 	return firstErr
 }
@@ -154,8 +155,8 @@ func (v *View) onArrived(at ids.CoreID, ev core.Event) {
 	}
 	// Arrival events carry no type name; enrich lazily from a snapshot.
 	if e.TypeName == "?" {
-		if info, err := v.c.CoreInfo(at); err == nil {
-			v.applySnapshot(info.Core, info.Complets)
+		if reply, err := v.c.ObsAtCtx(context.Background(), at, wire.ObsQuery{Info: true}); err == nil {
+			v.applySnapshot(reply.Info.Core, reply.Info.Complets)
 		}
 	}
 }

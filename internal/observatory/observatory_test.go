@@ -21,6 +21,7 @@ import (
 	"fargo/internal/registry"
 	"fargo/internal/trace"
 	"fargo/internal/transport"
+	"fargo/internal/wire"
 )
 
 // --- workload complets -------------------------------------------------------
@@ -213,11 +214,11 @@ func TestStitchCrossCoreTrace(t *testing.T) {
 	// earliest start to latest end — regardless of merge order.
 	var wantStart, wantEnd time.Time
 	for _, name := range []string{"a", "b", "c"} {
-		sums, err := a.TracesAtCtx(ctx, ids.CoreID(name), 0)
+		reply, err := a.ObsAtCtx(ctx, ids.CoreID(name), wire.ObsQuery{Traces: true})
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, s := range sums {
+		for _, s := range reply.Traces.Summaries {
 			if trace.TraceID(s.Trace) != entry.Trace {
 				continue
 			}

@@ -76,12 +76,13 @@ func (p *Planner) collect(ctx context.Context) (*Graph, error) {
 	}
 	replies := make([]wire.PlanStatsQueryReply, 0, len(members))
 	for _, m := range members {
-		rep, err := p.c.PlanStatsAtCtx(ctx, m)
+		obs, err := p.c.ObsAtCtx(ctx, m, wire.ObsQuery{Plan: true})
 		if err != nil {
 			g.Missing = append(g.Missing, m)
 			p.logf("plan %s: collect from %s: %v", p.c.ID(), m, err)
 			continue
 		}
+		rep := *obs.Plan
 		g.Load[rep.Core] = rep.Load
 		g.Free[rep.Core] = rep.CapacityFree
 		for _, id := range rep.Complets {

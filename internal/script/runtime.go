@@ -8,6 +8,7 @@ import (
 
 	"fargo/internal/core"
 	"fargo/internal/ids"
+	"fargo/internal/wire"
 )
 
 // CoreRuntime adapts a live Core to the script Runtime interface, letting
@@ -189,12 +190,12 @@ func (r *CoreRuntime) Measure(atCore, service string, args []string) (float64, e
 
 // CompletsIn implements Runtime.
 func (r *CoreRuntime) CompletsIn(coreName string) ([]string, error) {
-	info, err := r.c.CoreInfo(ids.CoreID(coreName))
+	reply, err := r.c.ObsAtCtx(context.Background(), ids.CoreID(coreName), wire.ObsQuery{Info: true})
 	if err != nil {
 		return nil, err
 	}
-	out := make([]string, len(info.Complets))
-	for i, ci := range info.Complets {
+	out := make([]string, len(reply.Info.Complets))
+	for i, ci := range reply.Info.Complets {
 		out[i] = ci.ID.String()
 	}
 	return out, nil

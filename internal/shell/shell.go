@@ -19,6 +19,7 @@ import (
 	"fargo/internal/plan"
 	"fargo/internal/ref"
 	"fargo/internal/trace"
+	"fargo/internal/wire"
 )
 
 // Shell interprets administration commands against a live core.
@@ -92,10 +93,11 @@ func (s *Shell) Exec(line string) error {
 		if len(args) != 1 {
 			return fmt.Errorf("usage: info <core>")
 		}
-		info, err := s.c.CoreInfo(ids.CoreID(args[0]))
+		reply, err := s.obs(args[0], wire.ObsQuery{Info: true})
 		if err != nil {
 			return err
 		}
+		info := reply.Info
 		fmt.Fprintf(s.out, "core %s: %d complet(s)\n", info.Core, len(info.Complets))
 		for _, ci := range info.Complets {
 			names := ""
@@ -214,11 +216,11 @@ func (s *Shell) Exec(line string) error {
 		if len(args) != 1 {
 			return fmt.Errorf("usage: stats <core>")
 		}
-		reply, err := s.c.StatsAt(ids.CoreID(args[0]))
+		reply, err := s.obs(args[0], wire.ObsQuery{Stats: true})
 		if err != nil {
 			return err
 		}
-		core.FormatStats(s.out, reply)
+		core.FormatStats(s.out, *reply.Stats)
 		return nil
 	case "top":
 		if len(args) < 1 || len(args) > 2 {
@@ -232,12 +234,11 @@ func (s *Shell) Exec(line string) error {
 			}
 			max = n
 		}
-		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-		defer cancel()
-		rows, err := s.c.MethodStatsAt(ctx, ids.CoreID(args[0]))
+		reply, err := s.obs(args[0], wire.ObsQuery{Methods: true})
 		if err != nil {
 			return err
 		}
+		rows := reply.Methods
 		if len(rows) == 0 {
 			fmt.Fprintf(s.out, "core %s: no per-method telemetry (no invocations yet, or DisablePerMethodStats)\n", args[0])
 			return nil
@@ -275,10 +276,11 @@ func (s *Shell) Exec(line string) error {
 		if len(args) != 1 {
 			return fmt.Errorf("usage: health <core>")
 		}
-		reply, err := s.c.HealthAt(ids.CoreID(args[0]))
+		obs, err := s.obs(args[0], wire.ObsQuery{Health: true})
 		if err != nil {
 			return err
 		}
+		reply := obs.Health
 		verdict := func(ok bool) string {
 			if ok {
 				return "ok"
@@ -300,10 +302,11 @@ func (s *Shell) Exec(line string) error {
 		if len(args) != 1 {
 			return fmt.Errorf("usage: recovery <core>")
 		}
-		reply, err := s.c.HealthAt(ids.CoreID(args[0]))
+		obs, err := s.obs(args[0], wire.ObsQuery{Health: true})
 		if err != nil {
 			return err
 		}
+		reply := obs.Health
 		journal := "off"
 		if reply.JournalEnabled {
 			journal = fmt.Sprintf("on (%d records)", reply.JournalRecords)
@@ -527,10 +530,11 @@ func (s *Shell) Exec(line string) error {
 			}
 			max = n
 		}
-		reply, err := s.c.FlightAt(ids.CoreID(args[0]), max)
+		obs, err := s.obs(args[0], wire.ObsQuery{Flight: true, FlightMax: max})
 		if err != nil {
 			return err
 		}
+		reply := obs.Flight
 		fmt.Fprintf(s.out, "core %s: %d event(s) recorded, showing %d\n",
 			reply.Core, reply.Total, len(reply.Events))
 		for _, ev := range reply.Events {
@@ -562,10 +566,11 @@ func (s *Shell) Exec(line string) error {
 			return fmt.Errorf("usage: trace <core> [id [core...]]")
 		}
 		if len(args) == 1 {
-			sums, err := s.c.TracesAt(ids.CoreID(args[0]), 0)
+			reply, err := s.obs(args[0], wire.ObsQuery{Traces: true})
 			if err != nil {
 				return err
 			}
+			sums := reply.Traces.Summaries
 			if len(sums) == 0 {
 				fmt.Fprintln(s.out, "(no traces retained; is sampling enabled?)")
 				return nil
@@ -582,11 +587,11 @@ func (s *Shell) Exec(line string) error {
 		// cross-core tree needs every involved core queried.
 		var spans []trace.Span
 		for _, coreName := range append([]string{args[0]}, args[2:]...) {
-			wireSpans, err := s.c.TraceAt(ids.CoreID(coreName), id)
+			reply, err := s.obs(coreName, wire.ObsQuery{Trace: uint64(id)})
 			if err != nil {
 				return err
 			}
-			spans = append(spans, core.SpansFromWire(wireSpans)...)
+			spans = append(spans, core.SpansFromWire(reply.Spans)...)
 		}
 		if len(spans) == 0 {
 			fmt.Fprintf(s.out, "no spans for trace %s at the queried core(s)\n", id)
@@ -623,6 +628,12 @@ func (s *Shell) Exec(line string) error {
 	default:
 		return fmt.Errorf("unknown command %q (try 'help')", cmd)
 	}
+}
+
+// obs fetches the selected introspection sections of a core under the core's
+// default request budget.
+func (s *Shell) obs(at string, q wire.ObsQuery) (wire.ObsQueryReply, error) {
+	return s.c.ObsAtCtx(context.Background(), ids.CoreID(at), q)
 }
 
 // RefFor resolves an ID string ("birth/#seq") or a local logical name to a

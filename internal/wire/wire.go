@@ -19,7 +19,9 @@ import (
 type Kind uint8
 
 // Envelope kinds. Each request kind has a corresponding payload struct; reply
-// envelopes reuse the request's correlation ID.
+// envelopes reuse the request's correlation ID. The values are wire format
+// between cores of one build only: no Kind is stored in the move journal or
+// in checkpoints, so removing a kind may renumber the ones after it.
 const (
 	KindInvoke Kind = iota + 1
 	KindInvokeReply
@@ -40,8 +42,6 @@ const (
 	KindEventNotify
 	KindPing
 	KindPong
-	KindCoreInfo
-	KindCoreInfoReply
 	KindShutdownNotice
 	KindProfileQuery
 	KindProfileQueryReply
@@ -55,35 +55,24 @@ const (
 	KindHomeQueryReply
 	KindCheckpoint
 	KindCheckpointReply
-	KindStatsQuery
-	KindStatsQueryReply
-	KindTraceQuery
-	KindTraceQueryReply
-	KindHealthQuery
-	KindHealthQueryReply
-	KindFlightQuery
-	KindFlightQueryReply
 	// KindHello is the first envelope of every TCP connection, identifying
-	// the dialer (payload: the transport's hello struct). New kinds append
-	// here — the enum's values are wire format.
+	// the dialer (payload: the transport's hello struct).
 	KindHello
 	// KindMoveProbe asks a move destination whether a given move epoch
 	// installed (crash recovery, DESIGN.md §13). A destination that answers
 	// "not installed" durably refuses the epoch, so the verdict is final.
 	KindMoveProbe
 	KindMoveProbeReply
-	// KindPlanStatsQuery asks a core for the planner's view of it: hosted
-	// complets, per-pair invocation meters, load and free capacity. The
-	// communication-graph collector of the autonomic layout planner
-	// (internal/plan, DESIGN.md §14) aggregates these across member cores.
-	KindPlanStatsQuery
-	KindPlanStatsQueryReply
-	// KindObsQuery batches the observability queries (stats, health, flight,
-	// traces, core info) into one round-trip, so the deployment observatory's
-	// per-core refresh (internal/observatory, DESIGN.md §15) costs one
-	// request per member instead of three or four.
+	// KindObsQuery is the one introspection query: it batches the selected
+	// sections of a core's state (stats, health, core info, flight ring,
+	// traces, per-method telemetry, planner statistics) into one round-trip,
+	// so the shell, the planner (DESIGN.md §14) and the deployment
+	// observatory (DESIGN.md §15) all read a core through one endpoint.
 	KindObsQuery
 	KindObsQueryReply
+
+	// kindEnd bounds the defined kinds (for the name table and its test).
+	kindEnd
 )
 
 // ErrorReply is the payload of a KindError envelope: a request failed in the
@@ -92,39 +81,35 @@ type ErrorReply struct {
 	Msg string
 }
 
+// kindNames is the short name of every defined kind.
+var kindNames = [kindEnd]string{
+	KindInvoke: "invoke", KindInvokeReply: "invoke-reply",
+	KindMove: "move", KindMoveReply: "move-reply",
+	KindLocate: "locate", KindLocateReply: "locate-reply",
+	KindNew: "new", KindNewReply: "new-reply",
+	KindNameSet: "name-set", KindNameSetReply: "name-set-reply",
+	KindNameLookup: "name-lookup", KindNameLookupReply: "name-lookup-reply",
+	KindSubscribe: "subscribe", KindSubscribeReply: "subscribe-reply",
+	KindUnsubscribe: "unsubscribe", KindUnsubscribeReply: "unsubscribe-reply",
+	KindEventNotify: "event-notify",
+	KindPing:        "ping", KindPong: "pong",
+	KindShutdownNotice: "shutdown-notice",
+	KindProfileQuery:   "profile-query", KindProfileQueryReply: "profile-query-reply",
+	KindError:   "error",
+	KindMoveCmd: "move-cmd", KindMoveCmdReply: "move-cmd-reply",
+	KindClone: "clone", KindCloneReply: "clone-reply",
+	KindHomeUpdate: "home-update",
+	KindHomeQuery:  "home-query", KindHomeQueryReply: "home-query-reply",
+	KindCheckpoint: "checkpoint", KindCheckpointReply: "checkpoint-reply",
+	KindHello:     "hello",
+	KindMoveProbe: "move-probe", KindMoveProbeReply: "move-probe-reply",
+	KindObsQuery: "obs-query", KindObsQueryReply: "obs-query-reply",
+}
+
 // String returns a short name for the kind.
 func (k Kind) String() string {
-	names := map[Kind]string{
-		KindInvoke: "invoke", KindInvokeReply: "invoke-reply",
-		KindMove: "move", KindMoveReply: "move-reply",
-		KindLocate: "locate", KindLocateReply: "locate-reply",
-		KindNew: "new", KindNewReply: "new-reply",
-		KindNameSet: "name-set", KindNameSetReply: "name-set-reply",
-		KindNameLookup: "name-lookup", KindNameLookupReply: "name-lookup-reply",
-		KindSubscribe: "subscribe", KindSubscribeReply: "subscribe-reply",
-		KindUnsubscribe: "unsubscribe", KindUnsubscribeReply: "unsubscribe-reply",
-		KindEventNotify: "event-notify",
-		KindPing:        "ping", KindPong: "pong",
-		KindCoreInfo: "core-info", KindCoreInfoReply: "core-info-reply",
-		KindShutdownNotice: "shutdown-notice",
-		KindProfileQuery:   "profile-query", KindProfileQueryReply: "profile-query-reply",
-		KindError:   "error",
-		KindMoveCmd: "move-cmd", KindMoveCmdReply: "move-cmd-reply",
-		KindClone: "clone", KindCloneReply: "clone-reply",
-		KindHomeUpdate: "home-update",
-		KindHomeQuery:  "home-query", KindHomeQueryReply: "home-query-reply",
-		KindCheckpoint: "checkpoint", KindCheckpointReply: "checkpoint-reply",
-		KindStatsQuery: "stats-query", KindStatsQueryReply: "stats-query-reply",
-		KindTraceQuery: "trace-query", KindTraceQueryReply: "trace-query-reply",
-		KindHealthQuery: "health-query", KindHealthQueryReply: "health-query-reply",
-		KindFlightQuery: "flight-query", KindFlightQueryReply: "flight-query-reply",
-		KindHello:     "hello",
-		KindMoveProbe: "move-probe", KindMoveProbeReply: "move-probe-reply",
-		KindPlanStatsQuery: "plan-stats-query", KindPlanStatsQueryReply: "plan-stats-query-reply",
-		KindObsQuery: "obs-query", KindObsQueryReply: "obs-query-reply",
-	}
-	if s, ok := names[k]; ok {
-		return s
+	if k < kindEnd && kindNames[k] != "" {
+		return kindNames[k]
 	}
 	return fmt.Sprintf("Kind(%d)", uint8(k))
 }
@@ -317,7 +302,6 @@ type HomeQuery struct {
 type HomeQueryReply struct {
 	Location ids.CoreID
 	Found    bool
-	Err      string
 }
 
 // CheckpointRequest asks the receiving core to checkpoint itself to a local
@@ -488,9 +472,6 @@ type Pong struct {
 	Seq uint64
 }
 
-// CoreInfoRequest asks a core to describe itself.
-type CoreInfoRequest struct{}
-
 // CompletInfo describes one hosted complet.
 type CompletInfo struct {
 	ID       ids.CompletID
@@ -498,8 +479,8 @@ type CompletInfo struct {
 	Names    []string
 }
 
-// CoreInfoReply describes the receiving core's state (used by the shell and
-// the layout monitor).
+// CoreInfoReply is the core-info section of an ObsQueryReply: the hosted
+// complets and known peers (used by the shell and the layout monitor).
 type CoreInfoReply struct {
 	Core     ids.CoreID
 	Complets []CompletInfo
@@ -520,9 +501,6 @@ type ProfileQueryReply struct {
 	Value float64
 	Err   string
 }
-
-// StatsQuery asks a core for a snapshot of its metrics registry.
-type StatsQuery struct{}
 
 // HistogramStat is one histogram's snapshot in a StatsQueryReply (a plain
 // mirror of stats.HistogramSnapshot so wire stays free of stats types).
@@ -547,21 +525,13 @@ type HistogramStat struct {
 	ExemplarNanos  []int64
 }
 
-// StatsQueryReply carries one core's metrics snapshot.
+// StatsQueryReply is the stats section of an ObsQueryReply: one core's
+// metrics snapshot.
 type StatsQueryReply struct {
 	Core       ids.CoreID
 	Counters   map[string]uint64
 	Gauges     map[string]float64
 	Histograms map[string]HistogramStat
-	Err        string
-}
-
-// TraceQuery asks a core's span collector either for recent trace summaries
-// (Trace == 0) or for the retained spans of one trace.
-type TraceQuery struct {
-	Trace uint64
-	// Max caps returned summaries (0 = collector default).
-	Max int
 }
 
 // TraceSummary describes one trace retained at the queried core.
@@ -590,18 +560,11 @@ type TraceSpan struct {
 	AttrVals       []string
 }
 
-// TraceQueryReply answers a TraceQuery with summaries (listing) or spans
-// (single-trace fetch).
+// TraceQueryReply is the traces section of an ObsQueryReply: the recent
+// trace summaries retained at a core.
 type TraceQueryReply struct {
 	Summaries []TraceSummary
-	Spans     []TraceSpan
-	Err       string
 }
-
-// HealthQuery asks a core for its liveness/readiness verdict (the wire
-// counterpart of the ops plane's /healthz and /readyz endpoints, so shells
-// reach the same state over the fargo protocol).
-type HealthQuery struct{}
 
 // PeerHealth describes one peer as seen from the queried core: its circuit
 // state and whether the heartbeat prober currently declares it suspect.
@@ -611,7 +574,10 @@ type PeerHealth struct {
 	Suspect bool
 }
 
-// HealthQueryReply answers a HealthQuery.
+// HealthQueryReply is the health section of an ObsQueryReply: a core's
+// liveness/readiness verdict (the wire counterpart of the ops plane's
+// /healthz and /readyz endpoints, so shells reach the same state over the
+// fargo protocol).
 type HealthQueryReply struct {
 	Core ids.CoreID
 	// Live is false when the core is shut down, or when every
@@ -635,13 +601,6 @@ type HealthQueryReply struct {
 	// completed or rolled back since the core started.
 	MovesRecovered  uint64
 	MovesRolledBack uint64
-	Err             string
-}
-
-// FlightQuery asks a core for its flight-recorder ring (Max 0 = everything
-// retained).
-type FlightQuery struct {
-	Max int
 }
 
 // FlightEvent is one flight-recorder occurrence shipped to a querier (a
@@ -658,17 +617,13 @@ type FlightEvent struct {
 	Err           string
 }
 
-// FlightQueryReply answers a FlightQuery with the retained occurrences,
-// oldest first.
+// FlightQueryReply is the flight section of an ObsQueryReply: the retained
+// flight-recorder occurrences, oldest first.
 type FlightQueryReply struct {
 	Core   ids.CoreID
 	Total  uint64 // occurrences ever recorded (ring may have evicted some)
 	Events []FlightEvent
-	Err    string
 }
-
-// PlanStatsQuery asks a core for its planner statistics snapshot.
-type PlanStatsQuery struct{}
 
 // PairStat is one directed communication-graph edge as observed at the core
 // hosting Dst: invocations from Src to Dst in the current rate window.
@@ -682,8 +637,8 @@ type PairStat struct {
 	Bytes uint64
 }
 
-// PlanStatsQueryReply answers a PlanStatsQuery: everything the layout
-// planner's collector needs from one member core.
+// PlanStatsQueryReply is the plan section of an ObsQueryReply: everything
+// the layout planner's collector needs from one member core.
 type PlanStatsQueryReply struct {
 	Core     ids.CoreID
 	Complets []ids.CompletID
@@ -692,14 +647,12 @@ type PlanStatsQueryReply struct {
 	// admission capacity (a large sentinel when the core is uncapped).
 	Load         int
 	CapacityFree int
-	Err          string
 }
 
-// ObsQuery batches the per-core observability queries into one round-trip.
-// Each selector asks for one slice of the core's state; the reply carries a
-// pointer per selected slice (nil when not requested). The deployment
-// observatory refreshes every member with a single ObsQuery instead of
-// separate stats/health/flight/trace requests.
+// ObsQuery is the one introspection query a core answers. Each selector asks
+// for one section of the core's state; the reply carries a pointer per
+// selected section (nil when not requested), so a caller — shell, planner,
+// observatory — reads exactly what it needs in a single round-trip.
 type ObsQuery struct {
 	Stats  bool
 	Health bool
@@ -719,6 +672,9 @@ type ObsQuery struct {
 	// Methods asks for the per-method telemetry table (complet-granular SLO
 	// instruments). False from queriers predating per-method instruments.
 	Methods bool
+	// Plan asks for the planner statistics snapshot (the layout planner's
+	// communication-graph input, DESIGN.md §14).
+	Plan bool
 }
 
 // MethodStat is one row of a core's per-method telemetry table: the live SLO
@@ -733,8 +689,8 @@ type MethodStat struct {
 	Latency  HistogramStat
 }
 
-// ObsQueryReply answers an ObsQuery. Slices of state the query did not select
-// are nil; Spans carries the single-trace fetch when ObsQuery.Trace was set.
+// ObsQueryReply answers an ObsQuery. Sections the query did not select are
+// nil; Spans carries the single-trace fetch when ObsQuery.Trace was set.
 type ObsQueryReply struct {
 	Core   ids.CoreID
 	Stats  *StatsQueryReply
@@ -746,7 +702,7 @@ type ObsQueryReply struct {
 	// Methods is the per-method telemetry table when ObsQuery.Methods was
 	// set (nil otherwise), sorted by descending call count.
 	Methods []MethodStat
-	Err     string
+	Plan    *PlanStatsQueryReply
 }
 
 // --- codec ------------------------------------------------------------------

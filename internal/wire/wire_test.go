@@ -61,6 +61,17 @@ func TestKindString(t *testing.T) {
 	if KindInvoke.String() != "invoke" {
 		t.Errorf("KindInvoke = %q", KindInvoke.String())
 	}
+	seen := map[string]Kind{}
+	for k := KindInvoke; k < kindEnd; k++ {
+		name := k.String()
+		if strings.HasPrefix(name, "Kind(") {
+			t.Errorf("defined kind %d renders no name", uint8(k))
+		}
+		if prev, dup := seen[name]; dup {
+			t.Errorf("kinds %d and %d share the name %q", uint8(prev), uint8(k), name)
+		}
+		seen[name] = k
+	}
 	if !strings.Contains(Kind(200).String(), "200") {
 		t.Errorf("unknown kind renders as %q", Kind(200).String())
 	}

@@ -158,10 +158,11 @@ alert slow-echo burnrate invoke_latency_ns above 10ms > 0.5 window 5m
 
 	// Per-method attribution names the culprit: the Slow rows on b dominate
 	// the method latency table.
-	stats, err := a.MethodStatsAt(ctx, "b")
+	reply, err := a.ObsAtCtx(ctx, "b", fargo.ObsQuery{Methods: true})
 	if err != nil {
 		t.Fatal(err)
 	}
+	stats := reply.Methods
 	found := false
 	for _, row := range stats {
 		if row.Method == "Slow" && row.Calls >= 6 {
