@@ -134,19 +134,6 @@ type Options = core.Options
 // in one round-trip.
 type ObsQuery = wire.ObsQuery
 
-// WireCodec is the pluggable serialization boundary of the transports
-// (Options.Codec): per-connection streaming sessions for TCP, self-framed
-// messages for the simulator. The default implementation is streaming gob.
-type WireCodec = wire.Codec
-
-// GobWireCodec returns the default gob wire codec (explicit form of leaving
-// Options.Codec nil).
-func GobWireCodec() WireCodec { return wire.Gob }
-
-// RegisterWireCodec registers an alternative wire codec so TCP peers dialing
-// with its preamble ID can be served. See wire.RegisterCodec.
-func RegisterWireCodec(c WireCodec) error { return wire.RegisterCodec(c) }
-
 // Built-in profiling services and events (see §4 of the paper).
 const (
 	ServiceCompletLoad     = core.ServiceCompletLoad
@@ -302,7 +289,7 @@ func (u *Universe) NewCore(name string, opts ...Options) (*Core, error) {
 	if len(opts) == 1 {
 		o = opts[0]
 	}
-	tr, err := transport.NewSim(u.net, ids.CoreID(name), transport.WithCodec(o.Codec))
+	tr, err := transport.NewSim(u.net, ids.CoreID(name))
 	if err != nil {
 		return nil, err
 	}
@@ -326,7 +313,7 @@ func (u *Universe) NewCoreFaulty(name string, seed int64, opts ...Options) (*Cor
 	if len(opts) == 1 {
 		o = opts[0]
 	}
-	tr, err := transport.NewSim(u.net, ids.CoreID(name), transport.WithCodec(o.Codec))
+	tr, err := transport.NewSim(u.net, ids.CoreID(name))
 	if err != nil {
 		return nil, nil, err
 	}
@@ -384,7 +371,7 @@ func ListenTCP(name, listenAddr string, peers map[string]string, reg *Registry, 
 	for k, v := range peers {
 		seed[ids.CoreID(k)] = v
 	}
-	tr, err := transport.NewTCP(ids.CoreID(name), listenAddr, transport.NewAddrBook(seed), transport.WithCodec(opts.Codec))
+	tr, err := transport.NewTCP(ids.CoreID(name), listenAddr, transport.NewAddrBook(seed))
 	if err != nil {
 		return nil, "", err
 	}

@@ -140,12 +140,6 @@ type Options struct {
 	// FlightRecorderSize caps the layout flight recorder's ring (0 =
 	// flight.DefaultCapacity).
 	FlightRecorderSize int
-	// Codec selects the wire serialization of the core's transport
-	// (wire.Codec); nil means the default streaming gob codec. The core
-	// itself never reads it — the embedding layer (fargo.ListenTCP,
-	// Universe.NewCore) threads it into the transport constructor via
-	// transport.WithCodec.
-	Codec wire.Codec
 	// JournalPath, when non-empty, enables the durable move journal
 	// (internal/journal) at that file path: the movement protocol becomes
 	// two-phase (PREPARE/INSTALL/COMMIT, DESIGN.md §13) with every phase
@@ -286,6 +280,10 @@ type pendingMove struct {
 	dest     ids.CoreID
 	root     ids.CompletID
 	complets []ids.CompletID
+	// resolving serializes finishResolvedMove between Recover and the
+	// background resolver: the one that loses the settle returns only after
+	// the winner has released the local copies.
+	resolving sync.Mutex
 }
 
 // moveKey identifies one movement attempt globally.

@@ -87,13 +87,21 @@ func (a *agent) Trail() []string  { return a.Visited }
 // eventSink is a complet that counts events delivered to it (distributed
 // event listener tests).
 type eventSink struct {
-	N int
+	mu sync.Mutex // not serialized: arrives unlocked after a move
+	N  int
 }
 
 func (s *eventSink) OnEvent(event string, value float64, source, complet, detail string) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	s.N++
 }
-func (s *eventSink) Count() int { return s.N }
+
+func (s *eventSink) Count() int {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.N
+}
 
 // printerLike is used for stamp-reference tests.
 type printerLike struct {

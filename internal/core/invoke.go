@@ -129,6 +129,7 @@ func (c *Core) routeInvoke(ctx context.Context, target ids.CompletID, hint ids.C
 			if err == errStaleLocal {
 				// The complet moved between the tracker read and
 				// the repository access; retry via the tracker.
+				c.met.invokeStale.Inc()
 				continue
 			}
 			return resBytes, c.id, err

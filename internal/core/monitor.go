@@ -107,6 +107,11 @@ func newProfKey(service string, args []string) profKey {
 type profEntry struct {
 	sampler  *stats.Sampler
 	interest int
+	// ready closes once the creator's Start has taken the first sample (or
+	// failed with err), so a party that joins the profile never sees it
+	// without a sample.
+	ready chan struct{}
+	err   error
 }
 
 // cacheEntry is one cached instant measurement.
@@ -319,7 +324,9 @@ func (m *Monitor) serveProfileQuery(_ context.Context, req wire.ProfileQuery) (w
 // Start begins (or joins) continuous profiling of a service at the given
 // interval, returning an exponential average through Get. Interest is
 // counted: the sampler stops only when every interested party called Stop
-// (§4.1).
+// (§4.1). Once Start returns nil, Get has a sample: a party joining a
+// profile that is still starting waits for the creator's first sample, or
+// receives its error.
 func (m *Monitor) Start(interval time.Duration, service string, args ...string) error {
 	if interval <= 0 {
 		return fmt.Errorf("monitor: interval must be positive")
@@ -333,7 +340,8 @@ func (m *Monitor) Start(interval time.Duration, service string, args ...string) 
 	if e, ok := m.profiles[key]; ok {
 		e.interest++
 		m.mu.Unlock()
-		return nil
+		<-e.ready
+		return e.err
 	}
 	fn, ok := m.services[service]
 	if !ok {
@@ -346,22 +354,22 @@ func (m *Monitor) Start(interval time.Duration, service string, args ...string) 
 		m.mu.Unlock()
 		return err
 	}
-	entry := &profEntry{sampler: sampler, interest: 1}
+	entry := &profEntry{sampler: sampler, interest: 1, ready: make(chan struct{})}
 	m.profiles[key] = entry
 	m.mu.Unlock()
 
 	// The sampler takes a synchronous first sample, and service functions
 	// may need the monitor mutex (e.g. invocationRate) — so it must start
-	// outside the lock.
-	if err := sampler.Start(interval); err != nil {
+	// outside the lock. Parties that joined meanwhile wait on ready.
+	if entry.err = sampler.Start(interval); entry.err != nil {
 		m.mu.Lock()
 		if m.profiles[key] == entry {
 			delete(m.profiles, key)
 		}
 		m.mu.Unlock()
-		return err
 	}
-	return nil
+	close(entry.ready)
+	return entry.err
 }
 
 // Get returns the current exponential average of a continuously profiled

@@ -544,8 +544,13 @@ func (c *Core) moveLocal(ctx context.Context, rootID ids.CompletID, dest ids.Cor
 		DurationNanos: time.Since(protoStart).Nanoseconds(),
 		Detail:        fmt.Sprintf("%d complet(s)", len(entries)),
 	})
+	// "Gone" and "tracker forwards to dest" are one transition under the
+	// W-lock: an invocation that blocked on moveMu wakes to a tracker that
+	// already points away, so it retries once instead of spinning on a
+	// stale "local" until the hop budget runs out.
 	for _, e := range locked {
 		e.gone = true
+		c.remove(e.id, dest)
 	}
 	unlock()
 	// The departed complets' accounting now lives at the destination
@@ -554,7 +559,6 @@ func (c *Core) moveLocal(ctx context.Context, rootID ids.CompletID, dest ids.Cor
 	c.mon.dropMeters(pm.complets)
 	c.mon.dropMethodMeters(pm.complets)
 	for _, e := range locked {
-		c.remove(e.id, dest)
 		if cb, ok := e.anchor.(PostDeparture); ok {
 			cb.PostDeparture(dest)
 		}

@@ -23,6 +23,7 @@ type coreMetrics struct {
 	invokeLocal   *stats.Counter
 	invokeFwd     *stats.Counter
 	invokeErrs    *stats.Counter
+	invokeStale   *stats.Counter
 	invokeLatency *stats.Histogram
 
 	moves       *stats.Counter
@@ -47,6 +48,7 @@ func newCoreMetrics(reg *metrics.Registry) *coreMetrics {
 		invokeLocal:   reg.Counter("invoke_local_total"),
 		invokeFwd:     reg.Counter("invoke_forwarded_total"),
 		invokeErrs:    reg.Counter("invoke_errors_total"),
+		invokeStale:   reg.Counter("invoke_stale_local_retries_total"),
 		invokeLatency: reg.Histogram("invoke_latency_ns"),
 
 		moves:       reg.Counter("moves_total"),

@@ -273,6 +273,8 @@ func (c *Core) resolveUnknownOutcome(dest ids.CoreID, epoch uint64, root ids.Com
 // at the destination; not installed means ABORT — the local copies stay
 // authoritative and re-assert their location.
 func (c *Core) finishResolvedMove(pm *pendingMove, installed bool) error {
+	pm.resolving.Lock()
+	defer pm.resolving.Unlock()
 	homeTracking := c.homeTrackingEnabled()
 	if installed {
 		settled, err := c.settleMove(pm.epoch, journal.OpCommit)
@@ -712,8 +714,8 @@ func (c *Core) releaseRecovered(id ids.CompletID, dest ids.CoreID) bool {
 		return false
 	}
 	entry.gone = true
+	c.remove(id, dest) // one transition with gone, as in moveLocal
 	entry.moveMu.Unlock()
-	c.remove(id, dest)
 	if cb, ok := entry.anchor.(PostDeparture); ok {
 		cb.PostDeparture(dest)
 	}

@@ -174,6 +174,68 @@ func TestMoveInFlightSentinel(t *testing.T) {
 	}
 }
 
+// TestResolvedMoveReleasedBeforeLoserReturns races the two resolvers of one
+// pending move, as Recover and the background resolver do after a lost
+// acknowledgement. The one that loses the settle must not return before the
+// winner has released the local copy: a caller of Recover relies on the copy
+// being gone when it returns.
+func TestResolvedMoveReleasedBeforeLoserReturns(t *testing.T) {
+	cl := newJournalCluster(t, "a", "b")
+	a := cl.cores["a"]
+	r, err := a.NewComplet("Msg", "twice")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := cl.net.StopHost("b"); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Move(r, "b"); err == nil {
+		t.Fatal("move to a dead destination succeeded")
+	}
+	a.recMu.Lock()
+	var pm *pendingMove
+	for _, p := range a.pendingOut {
+		pm = p
+	}
+	a.recMu.Unlock()
+	if pm == nil {
+		t.Fatal("no pending move")
+	}
+	entry, ok := a.lookup(r.Target())
+	if !ok {
+		t.Fatal("source copy missing before resolution")
+	}
+
+	// Holding the complet's read lock parks the first resolver after it
+	// settled the move, before it releases the copy.
+	entry.moveMu.RLock()
+	first := make(chan error, 1)
+	go func() { first <- a.finishResolvedMove(pm, true) }()
+	for a.PendingMoves() != 0 {
+		time.Sleep(time.Millisecond)
+	}
+	second := make(chan bool, 1)
+	go func() {
+		_ = a.finishResolvedMove(pm, true)
+		_, hosted := a.lookup(r.Target())
+		second <- hosted
+	}()
+	select {
+	case hosted := <-second:
+		if hosted {
+			t.Fatal("second resolver returned while the first had not released the local copy")
+		}
+	case <-time.After(50 * time.Millisecond): // waiting behind the first, as it should
+	}
+	entry.moveMu.RUnlock()
+	if err := <-first; err != nil {
+		t.Fatalf("first resolver: %v", err)
+	}
+	if _, hosted := a.lookup(r.Target()); hosted {
+		t.Fatal("local copy still hosted after the move was resolved as installed")
+	}
+}
+
 // TestRefusedEpochNeverInstalls checks the REFUSE promise: once a destination
 // has told a probing source "not installed", a late delivery of that epoch's
 // bundle must be rejected — otherwise the complet would exist both at the

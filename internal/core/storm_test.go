@@ -5,6 +5,7 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+	"time"
 
 	"fargo/internal/ids"
 )
@@ -190,5 +191,76 @@ func TestLayoutStormConcurrent(t *testing.T) {
 	}
 	if got := res[0].(int); got != invokers*perWorker {
 		t.Fatalf("final value %d, want %d (updates lost during movement)", got, invokers*perWorker)
+	}
+}
+
+// TestInvokeBlockedOnMoveRetriesOnce parks a mover at StepAfterCommit, where
+// it still holds the complet's write lock, lets invokers block on the
+// complet, then releases the mover. Marking the complet gone and pointing the
+// tracker at the destination are one transition, so each blocked invocation
+// wakes to a forwarding tracker: it succeeds after at most one stale-local
+// retry instead of spinning on "local" against the hop budget.
+func TestInvokeBlockedOnMoveRetriesOnce(t *testing.T) {
+	cl := newCluster(t, "m0", "m1")
+	for _, c := range cl.cores {
+		if err := c.Registry().Register("StormCounter", (*counterAnchor)(nil)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	src := cl.core("m0")
+	r, err := src.NewComplet("StormCounter")
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := r.Target()
+
+	parked, release := make(chan struct{}), make(chan struct{})
+	src.SetMoveStepHook(func(step MoveStep, _ ids.CompletID) bool {
+		if step == StepAfterCommit {
+			close(parked)
+			<-release
+		}
+		return false
+	})
+	moved := make(chan error, 1)
+	go func() { moved <- src.MoveByID(id, "m1") }()
+	<-parked
+
+	stale := src.Metrics().Counter("invoke_stale_local_retries_total")
+	before := stale.Value()
+	const invokers = 8
+	errs := make(chan error, invokers)
+	for i := 0; i < invokers; i++ {
+		go func() {
+			_, err := src.NewRefTo(id, "StormCounter", "m0").Invoke("Add", 1)
+			errs <- err
+		}()
+	}
+	time.Sleep(50 * time.Millisecond) // let the invokers reach the complet's read lock
+	// Holding the monitor lock stalls the mover in dropMeters, right after
+	// it releases the complet: any gap between "gone" and "tracker forwards"
+	// then stays open long enough for the woken invokers to exhaust their
+	// hop budget on stale-local retries.
+	src.mon.mu.Lock()
+	close(release)
+	time.Sleep(100 * time.Millisecond)
+	src.mon.mu.Unlock()
+	if err := <-moved; err != nil {
+		t.Fatalf("move: %v", err)
+	}
+	for i := 0; i < invokers; i++ {
+		if err := <-errs; err != nil {
+			t.Fatalf("invoker: %v", err)
+		}
+	}
+	if got := stale.Value() - before; got > invokers {
+		t.Fatalf("%d stale-local retries for %d blocked invocations, want at most one each", got, invokers)
+	}
+	res, err := cl.core("m1").NewRefTo(id, "StormCounter", "m1").Invoke("Value")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := res[0].(int); got != invokers {
+		t.Fatalf("value %d after %d invocations", got, invokers)
 	}
 }

@@ -162,17 +162,6 @@ func NewFaulty(inner Transport, seed int64) *Faulty {
 // Inner returns the wrapped transport.
 func (f *Faulty) Inner() Transport { return f.inner }
 
-// Codec implements CodecCarrier by forwarding to the inner transport: the
-// wrapper injects faults on whole messages above the serialization layer, so
-// it wraps codec sessions transparently. Returns nil when the inner
-// transport does not carry a codec.
-func (f *Faulty) Codec() wire.Codec {
-	if cc, ok := f.inner.(CodecCarrier); ok {
-		return cc.Codec()
-	}
-	return nil
-}
-
 // SetLogf redirects the wrapper's fault diagnostics and threads the logger
 // through to the inner transport when it supports redirection.
 func (f *Faulty) SetLogf(logf func(format string, args ...any)) {

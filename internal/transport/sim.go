@@ -28,7 +28,6 @@ type Sim struct {
 	net     *netsim.Network
 	host    *netsim.Host
 	pending *pending
-	codec   wire.Codec
 
 	mu      sync.Mutex
 	handler Handler
@@ -44,20 +43,17 @@ var _ Transport = (*Sim)(nil)
 
 // NewSim attaches a transport for the named core to the simulated network,
 // registering a host of the same name. Closing the transport unregisters the
-// host, so a restarted core can reuse the name. Options select the wire
-// codec (WithCodec; gob by default).
-func NewSim(net *netsim.Network, self ids.CoreID, opts ...Option) (*Sim, error) {
+// host, so a restarted core can reuse the name.
+func NewSim(net *netsim.Network, self ids.CoreID) (*Sim, error) {
 	host, err := net.AddHost(self.String())
 	if err != nil {
 		return nil, fmt.Errorf("sim transport: %w", err)
 	}
-	cfg := buildOptions(opts)
 	s := &Sim{
 		self:    self,
 		net:     net,
 		host:    host,
 		pending: newPending(),
-		codec:   cfg.codec,
 		logf:    log.Printf,
 		quit:    make(chan struct{}),
 		done:    make(chan struct{}),
@@ -66,16 +62,13 @@ func NewSim(net *netsim.Network, self ids.CoreID, opts ...Option) (*Sim, error) 
 	return s, nil
 }
 
-// Codec implements CodecCarrier.
-func (s *Sim) Codec() wire.Codec { return s.codec }
-
 // sendEnv marshals the envelope self-framed into a pooled buffer and hands
 // it to the simulated host. netsim copies the payload, so the buffer is
 // recycled before returning; the bytes shipped are reported for metrics.
 func (s *Sim) sendEnv(to ids.CoreID, env *wire.Envelope) (int, error) {
 	buf := wire.GetBuffer()
 	defer wire.PutBuffer(buf)
-	if err := s.codec.MarshalEnvelope(env, buf); err != nil {
+	if err := wire.Gob.MarshalEnvelope(env, buf); err != nil {
 		return 0, err
 	}
 	if err := s.host.Send(to.String(), buf.Bytes()); err != nil {
@@ -167,7 +160,7 @@ func (s *Sim) pump() {
 		select {
 		case msg := <-s.host.Recv():
 			s.metrics().recv(len(msg.Payload))
-			env, err := s.codec.UnmarshalEnvelope(msg.Payload)
+			env, err := wire.Gob.UnmarshalEnvelope(msg.Payload)
 			if err != nil {
 				s.logfFn()("fargo sim transport %s: dropping undecodable message from %s: %v", s.self, msg.From, err)
 				continue

@@ -15,10 +15,10 @@ import (
 	"fargo/internal/wire"
 )
 
-// wireMagic opens every TCP connection, followed by the dialer's codec ID
-// byte. The preamble is read from the raw socket before any codec session
-// exists, so a peer speaking an unknown codec — or not speaking fargo at
-// all — is rejected before the first frame is parsed.
+// wireMagic opens every TCP connection, followed by the wire-format byte
+// (wire.GobCodecID). The preamble is read from the raw socket before any
+// session exists, so a peer speaking another format — or not speaking fargo
+// at all — is rejected before the first frame is parsed.
 var wireMagic = [4]byte{'F', 'G', 'W', '1'}
 
 // ErrUnknownPeer is returned when sending to a core with no known address.
@@ -66,11 +66,11 @@ func (b *AddrBook) Peers() []ids.CoreID {
 }
 
 // TCP is a Transport over real TCP connections with length-framed envelopes
-// serialized by a streaming codec session per connection (wire.Codec; gob by
-// default, so type descriptors cross the wire once per peer). Outbound
-// connections are cached per peer; inbound connections open with a
-// magic+codec preamble and a hello envelope identifying the dialer, and
-// learned addresses populate the address book.
+// serialized by a streaming gob session per connection (wire.Session, so
+// type descriptors cross the wire once per peer). Outbound connections are
+// cached per peer; inbound connections open with a magic+format preamble
+// and a hello envelope identifying the dialer, and learned addresses
+// populate the address book.
 type TCP struct {
 	txMetricsHolder
 
@@ -78,7 +78,6 @@ type TCP struct {
 	book    *AddrBook
 	ln      net.Listener
 	pending *pending
-	codec   wire.Codec
 
 	mu       sync.Mutex
 	handler  Handler
@@ -101,7 +100,7 @@ var _ Transport = (*TCP)(nil)
 type tcpConn struct {
 	mu   sync.Mutex
 	c    net.Conn
-	sess wire.Session
+	sess *wire.Session
 }
 
 // writeEnv appends one envelope to the connection's session stream and
@@ -113,13 +112,11 @@ func (c *tcpConn) writeEnv(env *wire.Envelope) (int, error) {
 }
 
 // NewTCP starts a TCP transport listening on listenAddr. The address peers
-// should dial (the bound listen address) is sent in hello envelopes. Options
-// select the wire codec (WithCodec; gob by default).
-func NewTCP(self ids.CoreID, listenAddr string, book *AddrBook, opts ...Option) (*TCP, error) {
+// should dial (the bound listen address) is sent in hello envelopes.
+func NewTCP(self ids.CoreID, listenAddr string, book *AddrBook) (*TCP, error) {
 	if book == nil {
 		book = NewAddrBook(nil)
 	}
-	cfg := buildOptions(opts)
 	ln, err := net.Listen("tcp", listenAddr)
 	if err != nil {
 		return nil, fmt.Errorf("tcp transport: listen %s: %w", listenAddr, err)
@@ -129,7 +126,6 @@ func NewTCP(self ids.CoreID, listenAddr string, book *AddrBook, opts ...Option) 
 		book:     book,
 		ln:       ln,
 		pending:  newPending(),
-		codec:    cfg.codec,
 		logf:     log.Printf,
 		conns:    make(map[ids.CoreID]*tcpConn),
 		accepted: make(map[net.Conn]struct{}),
@@ -139,9 +135,6 @@ func NewTCP(self ids.CoreID, listenAddr string, book *AddrBook, opts ...Option) 
 	go t.acceptLoop()
 	return t, nil
 }
-
-// Codec implements CodecCarrier.
-func (t *TCP) Codec() wire.Codec { return t.codec }
 
 // Addr returns the transport's listening address.
 func (t *TCP) Addr() string { return t.ln.Addr().String() }
@@ -203,9 +196,8 @@ type hello struct {
 }
 
 // readLoop consumes envelopes from one inbound connection: preamble
-// (magic + codec ID), then a codec session whose first envelope must be the
-// hello. The session's codec is the DIALER's choice, resolved from the
-// registry — the accepting side does not need to share the dialer's default.
+// (magic + format byte), then a session whose first envelope must be the
+// hello.
 func (t *TCP) readLoop(c net.Conn) {
 	defer t.wg.Done()
 	defer func() {
@@ -223,12 +215,11 @@ func (t *TCP) readLoop(c net.Conn) {
 		t.logfFn()("fargo tcp %s: bad preamble from %s", t.self, c.RemoteAddr())
 		return
 	}
-	codec, ok := wire.CodecByID(pre[4])
-	if !ok {
-		t.logfFn()("fargo tcp %s: unknown codec %q from %s", t.self, pre[4], c.RemoteAddr())
+	if pre[4] != wire.GobCodecID {
+		t.logfFn()("fargo tcp %s: unknown wire format %q from %s", t.self, pre[4], c.RemoteAddr())
 		return
 	}
-	sess := codec.NewSession(c)
+	sess := wire.Gob.NewSession(c)
 
 	var henv wire.Envelope
 	if _, err := sess.DecodeEnvelope(&henv); err != nil {
@@ -432,12 +423,12 @@ func (t *TCP) conn(to ids.CoreID) (*tcpConn, error) {
 	}
 
 	// Preamble on the raw socket, then a codec session for everything else.
-	pre := [5]byte{wireMagic[0], wireMagic[1], wireMagic[2], wireMagic[3], t.codec.ID()}
+	pre := [5]byte{wireMagic[0], wireMagic[1], wireMagic[2], wireMagic[3], wire.GobCodecID}
 	if _, err := raw.Write(pre[:]); err != nil {
 		raw.Close()
 		return nil, fmt.Errorf("tcp transport: preamble to %s: %w", to, err)
 	}
-	c := &tcpConn{c: raw, sess: t.codec.NewSession(raw)}
+	c := &tcpConn{c: raw, sess: wire.Gob.NewSession(raw)}
 
 	// Identify ourselves and read replies arriving on this connection.
 	helloBytes, err := wire.EncodePayload(hello{From: t.self, Addr: t.ln.Addr().String()})

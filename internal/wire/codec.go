@@ -1,22 +1,16 @@
-// Codec is the pluggable serialization boundary of the transports. A codec
-// supplies two regimes:
+// The gob wire format of the transports has two regimes:
 //
-//   - Streaming sessions (NewSession) for connection-oriented transports
+//   - Streaming sessions (Gob.NewSession) for connection-oriented transports
 //     (TCP): one long-lived encoder/decoder pair per connection, so stream
 //     state — gob's type wire descriptors — crosses the wire once per peer
 //     instead of once per message. Envelopes travel as length-prefixed frames
 //     written in a single pass and flushed explicitly.
 //
-//   - Self-contained envelopes (MarshalEnvelope/UnmarshalEnvelope) for
+//   - Self-contained envelopes (Gob.MarshalEnvelope/UnmarshalEnvelope) for
 //     message-granular transports (netsim): each message carries its own
 //     descriptors, because simulated hosts can be removed and re-added
 //     (core restarts) and a streaming session would desync across that.
-//
-// The default implementation is Gob. Alternative codecs register themselves
-// with RegisterCodec; TCP connections advertise the dialer's codec ID in the
-// connection preamble and the accepting side looks the codec up by that ID,
-// so a future zero-copy or cross-language codec drops in without touching
-// the transports.
+
 package wire
 
 import (
@@ -33,69 +27,6 @@ import (
 // MaxFrame bounds a single envelope frame (movement bundles can be large,
 // but a corrupt length prefix must not trigger an unbounded allocation).
 const MaxFrame = 256 << 20 // 256 MiB
-
-// Session is one connection's streaming envelope coder pair. The two halves
-// are independent: one goroutine may decode while another encodes, but each
-// half itself is not safe for concurrent use — callers serialize writers
-// (frames must not interleave) and run a single read loop.
-//
-// Any error from either half leaves the session's stream state undefined
-// (a partially written frame, a half-consumed message): callers must drop
-// the connection and establish a fresh session rather than continue.
-type Session interface {
-	// EncodeEnvelope appends one framed envelope to the stream and flushes
-	// it, returning the bytes written to the connection.
-	EncodeEnvelope(env *Envelope) (int, error)
-	// DecodeEnvelope reads the next envelope from the stream into env,
-	// returning the bytes consumed. env should be a fresh zero value: gob
-	// does not clear fields absent from the wire. A clean peer close at a
-	// frame boundary surfaces as io.EOF.
-	DecodeEnvelope(env *Envelope) (int, error)
-}
-
-// Codec is a wire serialization scheme. Implementations must be safe for
-// concurrent use by multiple connections.
-type Codec interface {
-	// ID is the single byte naming the codec in the TCP connection preamble.
-	ID() byte
-	// Name is the human-readable codec name (diagnostics).
-	Name() string
-	// NewSession binds a streaming coder pair to a connection. The codec
-	// owns any buffering of rw it needs.
-	NewSession(rw io.ReadWriter) Session
-	// MarshalEnvelope appends one self-contained envelope encoding to buf.
-	MarshalEnvelope(env *Envelope, buf *bytes.Buffer) error
-	// UnmarshalEnvelope decodes one self-contained envelope.
-	UnmarshalEnvelope(data []byte) (Envelope, error)
-}
-
-// --- codec registry ---------------------------------------------------------
-
-var (
-	codecsMu sync.RWMutex
-	codecs   = make(map[byte]Codec)
-)
-
-// RegisterCodec makes a codec resolvable by its preamble ID. Every core of a
-// deployment must register the codecs its peers dial with; Gob is registered
-// by default. Duplicate IDs are an error.
-func RegisterCodec(c Codec) error {
-	codecsMu.Lock()
-	defer codecsMu.Unlock()
-	if prev, ok := codecs[c.ID()]; ok && prev != c {
-		return fmt.Errorf("wire: codec ID %q already registered to %s", c.ID(), prev.Name())
-	}
-	codecs[c.ID()] = c
-	return nil
-}
-
-// CodecByID resolves a codec from its preamble ID.
-func CodecByID(id byte) (Codec, bool) {
-	codecsMu.RLock()
-	defer codecsMu.RUnlock()
-	c, ok := codecs[id]
-	return c, ok
-}
 
 // --- buffer pool ------------------------------------------------------------
 
@@ -125,32 +56,25 @@ func PutBuffer(b *bytes.Buffer) {
 
 // --- gob codec --------------------------------------------------------------
 
-// GobCodecID is the preamble identifier of the default gob codec.
+// GobCodecID is the byte naming the gob wire format in the TCP connection
+// preamble; a TCP transport refuses connections that announce another.
 const GobCodecID = 'g'
 
-// Gob is the default codec: streaming gob with length-prefixed frames.
-var Gob Codec = gobCodec{}
-
-func init() {
-	if err := RegisterCodec(Gob); err != nil {
-		panic(err)
-	}
-}
+// Gob is the wire format: streaming gob with length-prefixed frames.
+var Gob gobCodec
 
 type gobCodec struct{}
 
-func (gobCodec) ID() byte     { return GobCodecID }
-func (gobCodec) Name() string { return "gob" }
-
-// NewSession implements Codec. The encoder half encodes into a persistent
-// buffer through a persistent gob.Encoder (descriptors sent once per
-// session), then writes the 4-byte big-endian length header and the buffer
-// in one buffered pass with an explicit flush. The decoder half feeds a
-// persistent gob.Decoder from a frameReader that strips headers and enforces
-// MaxFrame, so steady-state decoding allocates no per-frame buffers.
-func (gobCodec) NewSession(rw io.ReadWriter) Session {
+// NewSession binds a streaming coder pair to a connection. The encoder half
+// encodes into a persistent buffer through a persistent gob.Encoder
+// (descriptors sent once per session), then writes the 4-byte big-endian
+// length header and the buffer in one buffered pass with an explicit flush.
+// The decoder half feeds a persistent gob.Decoder from a frameReader that
+// strips headers and enforces MaxFrame, so steady-state decoding allocates
+// no per-frame buffers.
+func (gobCodec) NewSession(rw io.ReadWriter) *Session {
 	RegisterWireTypes()
-	s := &gobSession{
+	s := &Session{
 		w:  bufio.NewWriter(rw),
 		fr: &frameReader{r: bufio.NewReader(rw)},
 	}
@@ -159,9 +83,9 @@ func (gobCodec) NewSession(rw io.ReadWriter) Session {
 	return s
 }
 
-// MarshalEnvelope implements Codec: a self-contained encoding carrying its
-// own type descriptors (the fresh gob.Encoder is deliberate — a pooled one
-// would omit them and produce an undecodable message).
+// MarshalEnvelope appends one self-contained envelope encoding, carrying its
+// own type descriptors, to buf (the fresh gob.Encoder is deliberate — a
+// pooled one would omit them and produce an undecodable message).
 func (gobCodec) MarshalEnvelope(env *Envelope, buf *bytes.Buffer) error {
 	if err := gob.NewEncoder(buf).Encode(env); err != nil {
 		return fmt.Errorf("wire: encode envelope: %w", err)
@@ -169,7 +93,7 @@ func (gobCodec) MarshalEnvelope(env *Envelope, buf *bytes.Buffer) error {
 	return nil
 }
 
-// UnmarshalEnvelope implements Codec.
+// UnmarshalEnvelope decodes one self-contained envelope.
 func (gobCodec) UnmarshalEnvelope(data []byte) (Envelope, error) {
 	var env Envelope
 	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&env); err != nil {
@@ -178,7 +102,15 @@ func (gobCodec) UnmarshalEnvelope(data []byte) (Envelope, error) {
 	return env, nil
 }
 
-type gobSession struct {
+// Session is one connection's streaming envelope coder pair. The two halves
+// are independent: one goroutine may decode while another encodes, but each
+// half itself is not safe for concurrent use — callers serialize writers
+// (frames must not interleave) and run a single read loop.
+//
+// Any error from either half leaves the session's stream state undefined
+// (a partially written frame, a half-consumed message): callers must drop
+// the connection and establish a fresh session rather than continue.
+type Session struct {
 	// encode half
 	w   *bufio.Writer
 	buf bytes.Buffer
@@ -189,7 +121,9 @@ type gobSession struct {
 	dec *gob.Decoder
 }
 
-func (s *gobSession) EncodeEnvelope(env *Envelope) (int, error) {
+// EncodeEnvelope appends one framed envelope to the stream and flushes it,
+// returning the bytes written to the connection.
+func (s *Session) EncodeEnvelope(env *Envelope) (int, error) {
 	s.buf.Reset()
 	if err := s.enc.Encode(env); err != nil {
 		return 0, fmt.Errorf("wire: encode envelope: %w", err)
@@ -215,7 +149,11 @@ func (s *gobSession) EncodeEnvelope(env *Envelope) (int, error) {
 	return 4 + n, nil
 }
 
-func (s *gobSession) DecodeEnvelope(env *Envelope) (int, error) {
+// DecodeEnvelope reads the next envelope from the stream into env, returning
+// the bytes consumed. env should be a fresh zero value: gob does not clear
+// fields absent from the wire. A clean peer close at a frame boundary
+// surfaces as io.EOF.
+func (s *Session) DecodeEnvelope(env *Envelope) (int, error) {
 	start := s.fr.consumed
 	if err := s.dec.Decode(env); err != nil {
 		n := int(s.fr.consumed - start)

@@ -15,7 +15,7 @@ type rwPair struct {
 	io.Writer
 }
 
-func sessionOver(data []byte) Session {
+func sessionOver(data []byte) *Session {
 	return Gob.NewSession(rwPair{Reader: bytes.NewReader(data), Writer: io.Discard})
 }
 

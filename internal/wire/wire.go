@@ -737,24 +737,6 @@ func DecodePayload(data []byte, into any) error {
 	return nil
 }
 
-// EncodeEnvelope serializes a self-contained envelope with the default gob
-// codec. Transports on the hot path use Codec sessions (TCP) or
-// MarshalEnvelope with a pooled buffer (netsim) instead; this helper remains
-// for callers that want a standalone byte slice.
-func EncodeEnvelope(env Envelope) ([]byte, error) {
-	buf := GetBuffer()
-	defer PutBuffer(buf)
-	if err := Gob.MarshalEnvelope(&env, buf); err != nil {
-		return nil, err
-	}
-	return append([]byte(nil), buf.Bytes()...), nil
-}
-
-// DecodeEnvelope deserializes an envelope encoded by EncodeEnvelope.
-func DecodeEnvelope(data []byte) (Envelope, error) {
-	return Gob.UnmarshalEnvelope(data)
-}
-
 // EncodeArgs encodes an argument (or result) vector for parameter passing:
 // ordinary values by value, complet references as degraded link descriptors
 // (§3.1). It returns the encoded bytes and the references encountered during

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"bytes"
 	"context"
 	"encoding/gob"
 	"strings"
@@ -31,11 +32,11 @@ func TestEnvelopeRoundtrip(t *testing.T) {
 			Kind:    Kind(kind),
 			Payload: payload,
 		}
-		data, err := EncodeEnvelope(env)
-		if err != nil {
+		var buf bytes.Buffer
+		if err := Gob.MarshalEnvelope(&env, &buf); err != nil {
 			return false
 		}
-		got, err := DecodeEnvelope(data)
+		got, err := Gob.UnmarshalEnvelope(buf.Bytes())
 		if err != nil {
 			return false
 		}
@@ -52,7 +53,7 @@ func TestEnvelopeRoundtrip(t *testing.T) {
 }
 
 func TestDecodeEnvelopeGarbage(t *testing.T) {
-	if _, err := DecodeEnvelope([]byte("not gob")); err == nil {
+	if _, err := Gob.UnmarshalEnvelope([]byte("not gob")); err == nil {
 		t.Fatal("garbage should not decode")
 	}
 }
