@@ -50,8 +50,10 @@ import (
 	"fargo/internal/cliutil"
 	"fargo/internal/core"
 	"fargo/internal/demo"
+	"fargo/internal/flight"
 	"fargo/internal/ids"
 	"fargo/internal/layoutview"
+	"fargo/internal/metrics"
 	"fargo/internal/wire"
 )
 
@@ -206,8 +208,9 @@ func renderStatsPane(c *core.Core, cores []ids.CoreID) string {
 	return b.String()
 }
 
-// scrapeLayout / scrapeFlight mirror the ops plane's /layout and /flight JSON
-// bodies (internal/obs); only the fields the renderer uses are declared.
+// scrapeLayout mirrors the ops plane's /layout JSON body (internal/obs); only
+// the fields the renderer uses are declared. scrapeFlight is the /flight
+// body, whose events decode into flight.Event itself.
 type scrapeLayout struct {
 	Core     string `json:"core"`
 	Complets []struct {
@@ -230,17 +233,9 @@ type scrapeLayout struct {
 }
 
 type scrapeFlight struct {
-	Core   string `json:"core"`
-	Total  uint64 `json:"total"`
-	Events []struct {
-		Seq     uint64    `json:"seq"`
-		At      time.Time `json:"at"`
-		Kind    string    `json:"kind"`
-		Complet string    `json:"complet"`
-		Peer    string    `json:"peer"`
-		Detail  string    `json:"detail"`
-		Err     string    `json:"err"`
-	} `json:"events"`
+	Core   string         `json:"core"`
+	Total  uint64         `json:"total"`
+	Events []flight.Event `json:"events"`
 }
 
 // runScrape is the HTTP mode: it renders /layout and /flight from one core's
@@ -346,7 +341,7 @@ func fetchJSON(client *http.Client, url string, out any) error {
 
 // latencySummary renders the invoke latency percentiles when any invocation
 // has been observed at the core.
-func latencySummary(reply wire.StatsQueryReply) string {
+func latencySummary(reply metrics.Snapshot) string {
 	h, ok := reply.Histograms["invoke_latency_ns"]
 	if !ok || h.Count == 0 {
 		return ""

@@ -19,28 +19,6 @@ import (
 // peer, no open circuit, and no movement bundle in flight (an installing or
 // shipping bundle holds complet write locks, so invocations queue behind it).
 
-// Health is one core's point-in-time health verdict.
-type Health struct {
-	Core          ids.CoreID
-	Live          bool
-	Ready         bool
-	Closed        bool
-	MovesInFlight int
-	Complets      int
-	Peers         []wire.PeerHealth
-	// JournalEnabled reports whether the durable move journal is attached;
-	// JournalRecords counts its appended records. PendingMoves counts
-	// journaled moves awaiting resolution (PREPARE without COMMIT/ABORT) —
-	// a non-zero value blocks readiness, because the stranded complets
-	// refuse further moves until recovery resolves them. MovesRecovered and
-	// MovesRolledBack count the recovery manager's outcomes since start.
-	JournalEnabled  bool
-	JournalRecords  uint64
-	PendingMoves    int
-	MovesRecovered  uint64
-	MovesRolledBack uint64
-}
-
 // Flight returns the core's layout flight recorder. Callers may Record
 // application-level occurrences of their own; the runtime records movements,
 // chain repairs, breaker transitions, retries, hop-budget trips and
@@ -95,8 +73,10 @@ func (c *Core) moveFinished() {
 	c.healthMu.Unlock()
 }
 
-// Health computes the core's current health verdict.
-func (c *Core) Health() Health {
+// Health computes the core's current health verdict. Pending journaled moves
+// block readiness because the stranded complets refuse further moves until
+// recovery resolves them.
+func (c *Core) Health() wire.Health {
 	closed := c.isClosed()
 	peers := c.Peers()
 
@@ -121,7 +101,7 @@ func (c *Core) Health() Health {
 	}
 	sort.Slice(peers, func(i, j int) bool { return peers[i] < peers[j] })
 
-	h := Health{
+	h := wire.Health{
 		Core:          c.id,
 		Closed:        closed,
 		MovesInFlight: moves,
@@ -151,50 +131,11 @@ func (c *Core) Health() Health {
 	return h
 }
 
-// healthReply converts the verdict to the wire form.
-func (c *Core) healthReply() wire.HealthQueryReply {
-	h := c.Health()
-	return wire.HealthQueryReply{
-		Core:            h.Core,
-		Live:            h.Live,
-		Ready:           h.Ready,
-		Closed:          h.Closed,
-		MovesInFlight:   h.MovesInFlight,
-		Complets:        h.Complets,
-		Peers:           h.Peers,
-		JournalEnabled:  h.JournalEnabled,
-		JournalRecords:  h.JournalRecords,
-		PendingMoves:    h.PendingMoves,
-		MovesRecovered:  h.MovesRecovered,
-		MovesRolledBack: h.MovesRolledBack,
-	}
-}
-
-// flightReply snapshots the recorder into the wire form. afterSeq, when
+// flightReply snapshots the recorder for the flight section. afterSeq, when
 // nonzero, drops events with Seq <= afterSeq so incremental collectors (the
 // observatory's timeline loop) ship only unseen events.
 func (c *Core) flightReply(max int, afterSeq uint64) wire.FlightQueryReply {
 	events := c.flight.Snapshot(max)
-	reply := wire.FlightQueryReply{
-		Core:   c.id,
-		Total:  c.flight.Total(),
-		Events: make([]wire.FlightEvent, 0, len(events)),
-	}
-	for _, ev := range events {
-		if ev.Seq <= afterSeq {
-			continue
-		}
-		reply.Events = append(reply.Events, wire.FlightEvent{
-			Seq:           ev.Seq,
-			UnixNanos:     ev.At.UnixNano(),
-			Kind:          ev.Kind,
-			Complet:       ev.Complet,
-			Peer:          ev.Peer,
-			Detail:        ev.Detail,
-			DurationNanos: ev.DurationNanos,
-			Bytes:         ev.Bytes,
-			Err:           ev.Err,
-		})
-	}
-	return reply
+	skip := sort.Search(len(events), func(i int) bool { return events[i].Seq > afterSeq })
+	return wire.FlightQueryReply{Core: c.id, Total: c.flight.Total(), Events: events[skip:]}
 }

@@ -131,7 +131,7 @@ func (m *Monitor) MethodStats() []wire.MethodStat {
 			Method:   k.method,
 			Calls:    mm.calls.Value(),
 			Errors:   mm.errs.Value(),
-			Latency:  HistStatFromSnapshot(mm.lat.Snapshot()),
+			Latency:  mm.lat.Snapshot(),
 		}
 		if v, _, ok := mm.inflight.Value(); ok {
 			row.InFlight = int64(v)
@@ -181,7 +181,7 @@ func (m *Monitor) exportMethodMeters(targets []ids.CompletID) []wire.MethodMeter
 			Method:   k.method,
 			Calls:    mm.calls.Value(),
 			Errors:   mm.errs.Value(),
-			Latency:  HistStatFromSnapshot(mm.lat.Snapshot()),
+			Latency:  mm.lat.Snapshot(),
 		})
 	}
 	sort.Slice(out, func(i, j int) bool {
@@ -207,7 +207,7 @@ func (m *Monitor) importMethodMeters(states []wire.MethodMeterState) {
 		}
 		mm.calls.Add(st.Calls)
 		mm.errs.Add(st.Errors)
-		mm.lat.AddSnapshot(HistStatToSnapshot(st.Latency))
+		mm.lat.AddSnapshot(st.Latency)
 	}
 }
 

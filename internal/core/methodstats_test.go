@@ -2,6 +2,7 @@ package core
 
 import (
 	"context"
+	"reflect"
 	"strings"
 	"testing"
 	"time"
@@ -90,7 +91,7 @@ func TestPerMethodTelemetry(t *testing.T) {
 // Method meters travel with the complet: exported into the bundle, imported
 // at the destination, removed (rows AND registry series) at the source.
 func TestMethodTelemetrySurvivesMove(t *testing.T) {
-	cl := newCluster(t, "a", "b", "c")
+	cl := newClusterOpts(t, Options{RequestTimeout: 10 * time.Second, TraceSampleRate: 1}, "a", "b", "c")
 	a := cl.core("a")
 	r, err := a.NewCompletAt("b", "Msg", "hi")
 	if err != nil {
@@ -99,6 +100,14 @@ func TestMethodTelemetrySurvivesMove(t *testing.T) {
 	const n = 9
 	for i := 0; i < n; i++ {
 		invoke1(t, r, "Print")
+	}
+	srcRows, err := methodRows(a, "b")
+	if err != nil {
+		t.Fatal(err)
+	}
+	before, ok := methodRow(srcRows, r.Target(), "Print")
+	if !ok || !before.Latency.HasExemplars() {
+		t.Fatalf("sampled invocations left no exemplar at the source: %+v", before)
 	}
 	if err := a.Move(r, "c"); err != nil {
 		t.Fatal(err)
@@ -115,6 +124,12 @@ func TestMethodTelemetrySurvivesMove(t *testing.T) {
 	}
 	if row.Calls != n || row.Latency.Count != n {
 		t.Fatalf("imported row = %+v, want %d calls with full latency history", row, n)
+	}
+	// The distribution arrives bucket for bucket, exemplars included, so the
+	// new host's metric still links to the traces recorded before the move.
+	if !reflect.DeepEqual(row.Latency.Buckets, before.Latency.Buckets) ||
+		!reflect.DeepEqual(row.Latency.Exemplars, before.Latency.Exemplars) {
+		t.Fatalf("imported latency = %+v, want the source's buckets and exemplars %+v", row.Latency, before.Latency)
 	}
 
 	// The old host dropped both the row and the labeled series.
@@ -168,7 +183,7 @@ func TestMethodExemplarCapturesTraceID(t *testing.T) {
 		t.Fatalf("sampled invocation left no exemplar: %+v", h)
 	}
 	// The exemplar resolves against the core's own span collector.
-	if spans := a.traceSpans(uint64(mustParseTraceID(t, traceID))); len(spans) == 0 {
+	if spans := a.Tracer().Collector().Trace(mustParseTraceID(t, traceID)); len(spans) == 0 {
 		t.Fatalf("exemplar trace %s resolves to no spans", traceID)
 	}
 }

@@ -69,82 +69,6 @@ func newCoreMetrics(reg *metrics.Registry) *coreMetrics {
 	}
 }
 
-// --- stats section ----------------------------------------------------------
-
-// HistStatFromSnapshot mirrors a stats snapshot into the wire form, exemplars
-// included (wire stays free of stats types, so the mirror lives here).
-func HistStatFromSnapshot(h stats.HistogramSnapshot) wire.HistogramStat {
-	out := wire.HistogramStat{
-		Count: h.Count, Sum: h.Sum, P50: h.P50, P95: h.P95, P99: h.P99,
-		Bounds: h.Bounds, Buckets: h.Buckets,
-	}
-	if h.HasExemplars() {
-		out.ExemplarValues = make([]float64, len(h.Exemplars))
-		out.ExemplarTraces = make([]string, len(h.Exemplars))
-		out.ExemplarNanos = make([]int64, len(h.Exemplars))
-		for i, e := range h.Exemplars {
-			out.ExemplarValues[i] = e.Value
-			out.ExemplarTraces[i] = e.TraceID
-			out.ExemplarNanos[i] = e.UnixNanos
-		}
-	}
-	return out
-}
-
-// HistStatToSnapshot converts a wire histogram back to the stats form,
-// restoring any shipped exemplars.
-func HistStatToSnapshot(h wire.HistogramStat) stats.HistogramSnapshot {
-	out := stats.HistogramSnapshot{
-		Count: h.Count, Sum: h.Sum, P50: h.P50, P95: h.P95, P99: h.P99,
-		Bounds: h.Bounds, Buckets: h.Buckets,
-	}
-	if len(h.ExemplarTraces) == len(h.Buckets) && len(h.Buckets) > 0 {
-		out.Exemplars = make([]stats.Exemplar, len(h.ExemplarTraces))
-		for i, id := range h.ExemplarTraces {
-			if id == "" {
-				continue
-			}
-			out.Exemplars[i] = stats.Exemplar{TraceID: id}
-			if i < len(h.ExemplarValues) {
-				out.Exemplars[i].Value = h.ExemplarValues[i]
-			}
-			if i < len(h.ExemplarNanos) {
-				out.Exemplars[i].UnixNanos = h.ExemplarNanos[i]
-			}
-		}
-	}
-	return out
-}
-
-// statsReply snapshots this core's registry into the wire form.
-func (c *Core) statsReply() wire.StatsQueryReply {
-	snap := c.metrics.Snapshot()
-	reply := wire.StatsQueryReply{
-		Core:       c.id,
-		Counters:   snap.Counters,
-		Gauges:     snap.Gauges,
-		Histograms: make(map[string]wire.HistogramStat, len(snap.Histograms)),
-	}
-	for name, h := range snap.Histograms {
-		reply.Histograms[name] = HistStatFromSnapshot(h)
-	}
-	return reply
-}
-
-// FormatStats renders a stats reply as the plain-text dump the shell and
-// monitor print.
-func FormatStats(w io.Writer, reply wire.StatsQueryReply) {
-	snap := metrics.Snapshot{
-		Counters:   reply.Counters,
-		Gauges:     reply.Gauges,
-		Histograms: make(map[string]stats.HistogramSnapshot, len(reply.Histograms)),
-	}
-	for name, h := range reply.Histograms {
-		snap.Histograms[name] = HistStatToSnapshot(h)
-	}
-	snap.WriteText(w)
-}
-
 // --- traces section ---------------------------------------------------------
 
 // maxTraceSummaries bounds a trace listing reply.
@@ -152,78 +76,11 @@ const maxTraceSummaries = 32
 
 // traceSummaries lists the most recent traces retained by this core's
 // collector (max 0 = maxTraceSummaries).
-func (c *Core) traceSummaries(max int) []wire.TraceSummary {
+func (c *Core) traceSummaries(max int) []trace.Summary {
 	if max <= 0 {
 		max = maxTraceSummaries
 	}
-	sums := trace.Summarize(c.tracer.Collector().Snapshot(), max)
-	out := make([]wire.TraceSummary, 0, len(sums))
-	for _, s := range sums {
-		out = append(out, wire.TraceSummary{
-			Trace:          uint64(s.Trace),
-			Root:           s.Root,
-			Spans:          s.Spans,
-			StartUnixNanos: s.Start.UnixNano(),
-			DurationNanos:  int64(s.Duration),
-		})
-	}
-	return out
-}
-
-// traceSpans returns the spans of one trace retained by this core's
-// collector.
-func (c *Core) traceSpans(id uint64) []wire.TraceSpan {
-	spans := c.tracer.Collector().TraceSpans(trace.TraceID(id))
-	out := make([]wire.TraceSpan, 0, len(spans))
-	for _, sp := range spans {
-		out = append(out, spanToWire(sp))
-	}
-	return out
-}
-
-func spanToWire(sp trace.Span) wire.TraceSpan {
-	out := wire.TraceSpan{
-		Trace:          uint64(sp.Trace),
-		Span:           uint64(sp.ID),
-		Parent:         uint64(sp.Parent),
-		Name:           sp.Name,
-		Core:           ids.CoreID(sp.Core),
-		StartUnixNanos: sp.Start.UnixNano(),
-		DurationNanos:  int64(sp.Duration),
-		Err:            sp.Err,
-	}
-	for _, a := range sp.Attrs {
-		out.AttrKeys = append(out.AttrKeys, a.Key)
-		out.AttrVals = append(out.AttrVals, a.Value)
-	}
-	return out
-}
-
-// SpansFromWire converts shipped spans back to trace.Span for tree building
-// and export (merging replies from several cores is just appending slices).
-func SpansFromWire(in []wire.TraceSpan) []trace.Span {
-	out := make([]trace.Span, 0, len(in))
-	for _, w := range in {
-		sp := trace.Span{
-			Trace:    trace.TraceID(w.Trace),
-			ID:       trace.SpanID(w.Span),
-			Parent:   trace.SpanID(w.Parent),
-			Name:     w.Name,
-			Core:     w.Core.String(),
-			Start:    time.Unix(0, w.StartUnixNanos),
-			Duration: time.Duration(w.DurationNanos),
-			Err:      w.Err,
-		}
-		for i := range w.AttrKeys {
-			v := ""
-			if i < len(w.AttrVals) {
-				v = w.AttrVals[i]
-			}
-			sp.Attrs = append(sp.Attrs, trace.Attr{Key: w.AttrKeys[i], Value: v})
-		}
-		out = append(out, sp)
-	}
-	return out
+	return trace.Summarize(c.tracer.Collector().Snapshot(), max)
 }
 
 // --- the introspection query ------------------------------------------------
@@ -233,11 +90,11 @@ func SpansFromWire(in []wire.TraceSpan) []trace.Span {
 func (c *Core) serveObsQuery(_ context.Context, req wire.ObsQuery) (wire.ObsQueryReply, error) {
 	reply := wire.ObsQueryReply{Core: c.id}
 	if req.Stats {
-		s := c.statsReply()
+		s := c.metrics.Snapshot()
 		reply.Stats = &s
 	}
 	if req.Health {
-		h := c.healthReply()
+		h := c.Health()
 		reply.Health = &h
 	}
 	if req.Info {
@@ -248,10 +105,10 @@ func (c *Core) serveObsQuery(_ context.Context, req wire.ObsQuery) (wire.ObsQuer
 		reply.Flight = &f
 	}
 	if req.Traces {
-		reply.Traces = &wire.TraceQueryReply{Summaries: c.traceSummaries(req.TraceMax)}
+		reply.Traces = c.traceSummaries(req.TraceMax)
 	}
 	if req.Trace != 0 {
-		reply.Spans = c.traceSpans(req.Trace)
+		reply.Spans = c.tracer.Collector().Trace(trace.TraceID(req.Trace))
 	}
 	if req.Methods {
 		reply.Methods = c.mon.MethodStats()
@@ -300,10 +157,10 @@ func (c *Core) ExportChromeTrace() ([]byte, error) {
 }
 
 // FormatTraceSummaries renders a trace listing for the shell.
-func FormatTraceSummaries(w io.Writer, sums []wire.TraceSummary) {
-	sorted := append([]wire.TraceSummary(nil), sums...)
+func FormatTraceSummaries(w io.Writer, sums []trace.Summary) {
+	sorted := append([]trace.Summary(nil), sums...)
 	sort.Slice(sorted, func(i, j int) bool {
-		return sorted[i].StartUnixNanos > sorted[j].StartUnixNanos
+		return sorted[i].Start.After(sorted[j].Start)
 	})
 	for _, s := range sorted {
 		root := s.Root
@@ -311,8 +168,7 @@ func FormatTraceSummaries(w io.Writer, sums []wire.TraceSummary) {
 			root = "(rooted elsewhere)"
 		}
 		fmt.Fprintf(w, "%s  %-40s %2d spans  %v  %s\n",
-			trace.TraceID(s.Trace), root, s.Spans,
-			time.Duration(s.DurationNanos).Round(time.Microsecond),
-			time.Unix(0, s.StartUnixNanos).Format("15:04:05.000"))
+			s.Trace, root, s.Spans, s.Duration.Round(time.Microsecond),
+			s.Start.Format("15:04:05.000"))
 	}
 }

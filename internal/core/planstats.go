@@ -35,13 +35,13 @@ type PlannerConfig struct {
 }
 
 // PlanStats snapshots this core for the planner's collector.
-func (c *Core) PlanStats() wire.PlanStatsQueryReply {
+func (c *Core) PlanStats() wire.PlanStatsReply {
 	infos := c.Complets()
 	complets := make([]ids.CompletID, len(infos))
 	for i, info := range infos {
 		complets[i] = info.ID
 	}
-	return wire.PlanStatsQueryReply{
+	return wire.PlanStatsReply{
 		Core:         c.id,
 		Complets:     complets,
 		Pairs:        c.mon.PairStats(),

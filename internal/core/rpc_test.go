@@ -46,8 +46,8 @@ func TestObsQuerySections(t *testing.T) {
 		{"health", wire.ObsQuery{Health: true}, func(r wire.ObsQueryReply) bool { return r.Health != nil }},
 		{"info", wire.ObsQuery{Info: true}, func(r wire.ObsQueryReply) bool { return r.Info != nil }},
 		{"flight", wire.ObsQuery{Flight: true}, func(r wire.ObsQueryReply) bool { return r.Flight != nil }},
-		{"traces", wire.ObsQuery{Traces: true}, func(r wire.ObsQueryReply) bool { return r.Traces != nil }},
-		{"trace", wire.ObsQuery{Trace: traced}, func(r wire.ObsQueryReply) bool { return len(r.Spans) > 0 }},
+		{"traces", wire.ObsQuery{Traces: true}, func(r wire.ObsQueryReply) bool { return len(r.Traces) > 0 }},
+		{"trace", wire.ObsQuery{Trace: uint64(traced)}, func(r wire.ObsQueryReply) bool { return len(r.Spans) > 0 }},
 		{"methods", wire.ObsQuery{Methods: true}, func(r wire.ObsQueryReply) bool { return len(r.Methods) > 0 }},
 		{"plan", wire.ObsQuery{Plan: true}, func(r wire.ObsQueryReply) bool { return r.Plan != nil }},
 	}

@@ -31,7 +31,7 @@ func mergedTrace(t *testing.T, cl *cluster, via *Core, id trace.TraceID, cores .
 		if err != nil {
 			t.Fatalf("trace at %s: %v", name, err)
 		}
-		spans = append(spans, SpansFromWire(reply.Spans)...)
+		spans = append(spans, reply.Spans...)
 	}
 	return spans
 }
@@ -286,7 +286,7 @@ func TestTraceRepairRetry(t *testing.T) {
 	}
 
 	// The repair also shows in the metrics: one chain repair, zero failures.
-	snap := a.statsReply()
+	snap := a.Metrics().Snapshot()
 	if snap.Counters["chain_repairs_total"] != 1 {
 		t.Fatalf("chain_repairs_total = %d, want 1", snap.Counters["chain_repairs_total"])
 	}
@@ -313,7 +313,7 @@ func TestTraceSamplingOffRecordsNothing(t *testing.T) {
 			t.Fatalf("core %s retained %d spans with sampling off", name, n)
 		}
 	}
-	snap := a.statsReply()
+	snap := a.Metrics().Snapshot()
 	if snap.Counters["moves_total"] != 1 {
 		t.Fatalf("moves_total = %d, want 1", snap.Counters["moves_total"])
 	}

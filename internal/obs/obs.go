@@ -135,68 +135,18 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	metrics.WritePrometheus(w, s.c.Metrics().Snapshot())
 }
 
-// healthBody is the JSON detail served by /healthz and /readyz.
-type healthBody struct {
-	Core          string           `json:"core"`
-	Live          bool             `json:"live"`
-	Ready         bool             `json:"ready"`
-	Closed        bool             `json:"closed"`
-	MovesInFlight int              `json:"moves_in_flight"`
-	Complets      int              `json:"complets"`
-	Peers         []peerHealthBody `json:"peers,omitempty"`
-	// Journal/recovery state (crash-safe moves, DESIGN.md §13). A non-zero
-	// pending_moves means journaled moves await resolution and blocks
-	// readiness.
-	JournalEnabled  bool   `json:"journal_enabled"`
-	JournalRecords  uint64 `json:"journal_records"`
-	PendingMoves    int    `json:"pending_moves"`
-	MovesRecovered  uint64 `json:"moves_recovered"`
-	MovesRolledBack uint64 `json:"moves_rolled_back"`
-}
-
-type peerHealthBody struct {
-	Core    string `json:"core"`
-	Breaker string `json:"breaker"`
-	Suspect bool   `json:"suspect"`
-}
-
-func (s *Server) healthBody() (healthBody, core.Health) {
-	h := s.c.Health()
-	body := healthBody{
-		Core:            h.Core.String(),
-		Live:            h.Live,
-		Ready:           h.Ready,
-		Closed:          h.Closed,
-		MovesInFlight:   h.MovesInFlight,
-		Complets:        h.Complets,
-		JournalEnabled:  h.JournalEnabled,
-		JournalRecords:  h.JournalRecords,
-		PendingMoves:    h.PendingMoves,
-		MovesRecovered:  h.MovesRecovered,
-		MovesRolledBack: h.MovesRolledBack,
-	}
-	for _, p := range h.Peers {
-		body.Peers = append(body.Peers, peerHealthBody{
-			Core:    p.Core.String(),
-			Breaker: p.Breaker,
-			Suspect: p.Suspect,
-		})
-	}
-	return body, h
-}
-
 // handleHealthz serves the liveness verdict: 200 while the core is live, 503
 // once it shut down or every heartbeat-monitored peer is suspect.
 func (s *Server) handleHealthz(w http.ResponseWriter, r *http.Request) {
-	body, h := s.healthBody()
-	writeJSONStatus(w, body, h.Live)
+	h := s.c.Health()
+	writeJSONStatus(w, h, h.Live)
 }
 
 // handleReadyz serves the readiness verdict: 200 only while nothing is
 // degraded (no suspect peer, no open breaker, no move in flight).
 func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
-	body, h := s.healthBody()
-	writeJSONStatus(w, body, h.Ready)
+	h := s.c.Health()
+	writeJSONStatus(w, h, h.Ready)
 }
 
 // layoutBody is the JSON served by /layout: this core's repository and

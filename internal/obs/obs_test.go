@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"io"
 	"net/http"
+	"path/filepath"
 	"regexp"
 	"strings"
 	"testing"
@@ -28,6 +29,13 @@ type cluster struct {
 
 func newCluster(t *testing.T, names ...string) *cluster {
 	t.Helper()
+	return newClusterOpts(t, func(string) core.Options { return core.Options{} }, names...)
+}
+
+// newClusterOpts is newCluster with per-core options (RequestTimeout is
+// always 10s).
+func newClusterOpts(t *testing.T, optsFor func(name string) core.Options, names ...string) *cluster {
+	t.Helper()
 	cl := &cluster{
 		t:     t,
 		net:   netsim.NewNetwork(9),
@@ -42,7 +50,9 @@ func newCluster(t *testing.T, names ...string) *cluster {
 		if err := demo.Register(reg); err != nil {
 			t.Fatal(err)
 		}
-		c, err := core.New(tr, reg, core.Options{RequestTimeout: 10 * time.Second})
+		opts := optsFor(name)
+		opts.RequestTimeout = 10 * time.Second
+		c, err := core.New(tr, reg, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -391,6 +401,66 @@ func TestOpsHealthzFlipsOnIsolation(t *testing.T) {
 	}
 	if status, _ := get(t, base+"/readyz"); status != http.StatusServiceUnavailable {
 		t.Errorf("/readyz after isolation: status %d, want 503", status)
+	}
+}
+
+// TestHealthzBody pins the /healthz and /readyz JSON contract: every key, in
+// order, with its value, for a core running with a move journal.
+func TestHealthzBody(t *testing.T) {
+	journal := filepath.Join(t.TempDir(), "a.journal")
+	cl := newClusterOpts(t, func(name string) core.Options {
+		if name == "a" {
+			return core.Options{JournalPath: journal}
+		}
+		return core.Options{}
+	}, "a", "b")
+	a := cl.core("a")
+	srv, err := Start(a, Options{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := "http://" + srv.Addr()
+
+	if _, err := a.NewComplet("Message", "stays"); err != nil {
+		t.Fatal(err)
+	}
+	mover, err := a.NewComplet("Message", "moves")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Move(mover, "b"); err != nil {
+		t.Fatal(err)
+	}
+
+	const want = `{
+  "core": "a",
+  "live": true,
+  "ready": true,
+  "closed": false,
+  "moves_in_flight": 0,
+  "complets": 1,
+  "peers": [
+    {
+      "core": "b",
+      "breaker": "closed",
+      "suspect": false
+    }
+  ],
+  "journal_enabled": true,
+  "journal_records": 2,
+  "pending_moves": 0,
+  "moves_recovered": 0,
+  "moves_rolled_back": 0
+}
+`
+	for _, path := range []string{"/healthz", "/readyz"} {
+		status, body := get(t, base+path)
+		if status != http.StatusOK {
+			t.Errorf("%s: status %d", path, status)
+		}
+		if body != want {
+			t.Errorf("%s body:\n%s\nwant:\n%s", path, body, want)
+		}
 	}
 }
 

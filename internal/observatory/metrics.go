@@ -4,7 +4,6 @@ import (
 	"sort"
 	"time"
 
-	"fargo/internal/core"
 	"fargo/internal/ids"
 	"fargo/internal/metrics"
 	"fargo/internal/stats"
@@ -92,15 +91,13 @@ func (o *Observatory) ClusterSnapshot() metrics.Snapshot {
 			}
 		}
 		for name, h := range m.stats.Histograms {
-			// Exemplars ride along (core.HistStatToSnapshot restores them),
-			// so a federated bucket still points at a trace some member can
-			// resolve via /cluster/trace/{id}.
-			snap := core.HistStatToSnapshot(h)
+			// Exemplars ride along, so a federated bucket still points at a
+			// trace some member can resolve via /cluster/trace/{id}.
 			if labeled, err := metrics.WithLabel(name, "core", coreLabel); err == nil {
-				out.Histograms[labeled] = snap
+				out.Histograms[labeled] = h
 			}
 			if merged, err := mergedName(name); err == nil {
-				mergedHists[merged] = append(mergedHists[merged], snap)
+				mergedHists[merged] = append(mergedHists[merged], h)
 			}
 		}
 	}

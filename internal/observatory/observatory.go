@@ -34,6 +34,7 @@ import (
 
 	"fargo/internal/core"
 	"fargo/internal/ids"
+	"fargo/internal/metrics"
 	"fargo/internal/wire"
 )
 
@@ -83,8 +84,8 @@ type member struct {
 	err       string
 	lastOK    time.Time
 	lastSeq   uint64 // high-water flight Seq already merged into the timeline
-	stats     *wire.StatsQueryReply
-	health    *wire.HealthQueryReply
+	stats     *metrics.Snapshot
+	health    *wire.Health
 	info      *wire.CoreInfoReply
 }
 
@@ -270,36 +271,22 @@ func (o *Observatory) Refresh(ctx context.Context) error {
 	o.refreshMu.Lock()
 	defer o.refreshMu.Unlock()
 
-	members := o.memberList()
-	type answer struct {
-		id    ids.CoreID
-		reply wire.ObsQueryReply
-		err   error
-	}
-	answers := make([]answer, len(members))
-	var wg sync.WaitGroup
-	for i, m := range members {
+	answers := o.obsFanOut(ctx, func(m ids.CoreID) wire.ObsQuery {
 		o.mu.Lock()
+		defer o.mu.Unlock()
 		var after uint64
 		if st, ok := o.members[m]; ok {
 			after = st.lastSeq
 		}
-		o.mu.Unlock()
-		wg.Add(1)
-		go func(i int, m ids.CoreID, after uint64) {
-			defer wg.Done()
-			reply, err := o.c.ObsAtCtx(ctx, m, wire.ObsQuery{
-				Stats:          true,
-				Health:         true,
-				Info:           true,
-				Flight:         true,
-				FlightMax:      o.opts.FlightMax,
-				FlightAfterSeq: after,
-			})
-			answers[i] = answer{id: m, reply: reply, err: err}
-		}(i, m, after)
-	}
-	wg.Wait()
+		return wire.ObsQuery{
+			Stats:          true,
+			Health:         true,
+			Info:           true,
+			Flight:         true,
+			FlightMax:      o.opts.FlightMax,
+			FlightAfterSeq: after,
+		}
+	})
 
 	now := time.Now()
 	var fresh [][]Event // per-member fresh flight events, Seq-ascending
@@ -337,18 +324,7 @@ func (o *Observatory) Refresh(ctx context.Context) error {
 					continue // paranoia: the wire filter already skipped these
 				}
 				st.lastSeq = ev.Seq
-				batch = append(batch, Event{
-					Core:          a.id.String(),
-					Seq:           ev.Seq,
-					At:            time.Unix(0, ev.UnixNanos),
-					Kind:          ev.Kind,
-					Complet:       ev.Complet,
-					Peer:          ev.Peer,
-					Detail:        ev.Detail,
-					DurationNanos: ev.DurationNanos,
-					Bytes:         ev.Bytes,
-					Err:           ev.Err,
-				})
+				batch = append(batch, Event{Core: a.id.String(), Event: ev})
 			}
 			if len(batch) > 0 {
 				fresh = append(fresh, batch)

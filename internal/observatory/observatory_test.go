@@ -19,7 +19,6 @@ import (
 	"fargo/internal/plan"
 	"fargo/internal/ref"
 	"fargo/internal/registry"
-	"fargo/internal/trace"
 	"fargo/internal/transport"
 	"fargo/internal/wire"
 )
@@ -218,14 +217,13 @@ func TestStitchCrossCoreTrace(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, s := range reply.Traces.Summaries {
-			if trace.TraceID(s.Trace) != entry.Trace {
+		for _, s := range reply.Traces {
+			if s.Trace != entry.Trace {
 				continue
 			}
-			start := time.Unix(0, s.StartUnixNanos)
-			end := start.Add(time.Duration(s.DurationNanos))
-			if wantStart.IsZero() || start.Before(wantStart) {
-				wantStart = start
+			end := s.Start.Add(s.Duration)
+			if wantStart.IsZero() || s.Start.Before(wantStart) {
+				wantStart = s.Start
 			}
 			if end.After(wantEnd) {
 				wantEnd = end
@@ -465,13 +463,13 @@ func at(ms int) time.Time { return time.Unix(0, int64(ms)*int64(time.Millisecond
 // when its clock jumps).
 func TestMergeBatchesOrdering(t *testing.T) {
 	batchA := []Event{
-		{Core: "a", Seq: 1, At: at(0)},
-		{Core: "a", Seq: 2, At: at(20)},
-		{Core: "a", Seq: 3, At: at(40)},
+		{Core: "a", Event: flight.Event{Seq: 1, At: at(0)}},
+		{Core: "a", Event: flight.Event{Seq: 2, At: at(20)}},
+		{Core: "a", Event: flight.Event{Seq: 3, At: at(40)}},
 	}
 	batchB := []Event{
-		{Core: "b", Seq: 1, At: at(10)},
-		{Core: "b", Seq: 2, At: at(30)},
+		{Core: "b", Event: flight.Event{Seq: 1, At: at(10)}},
+		{Core: "b", Event: flight.Event{Seq: 2, At: at(30)}},
 	}
 	merged := mergeBatches([][]Event{batchA, batchB})
 	var got []string
@@ -485,8 +483,8 @@ func TestMergeBatchesOrdering(t *testing.T) {
 
 	// A batch with an inverted clock still comes out in Seq order.
 	skewed := []Event{
-		{Core: "s", Seq: 1, At: at(50)},
-		{Core: "s", Seq: 2, At: at(5)}, // clock jumped backwards
+		{Core: "s", Event: flight.Event{Seq: 1, At: at(50)}},
+		{Core: "s", Event: flight.Event{Seq: 2, At: at(5)}}, // clock jumped backwards
 	}
 	merged = mergeBatches([][]Event{skewed, batchB})
 	pos := map[string]int{}

@@ -2,7 +2,8 @@ package observatory
 
 import (
 	"sync"
-	"time"
+
+	"fargo/internal/flight"
 )
 
 // The merged timeline. Each member's flight recorder already carries a
@@ -26,20 +27,12 @@ type Event struct {
 	// Merge is the Lamport-style merge clock: the position of this event in
 	// the observatory's total order (1-based, strictly monotonic).
 	Merge uint64 `json:"merge"`
-	// Core is the member the event happened on; Seq its per-core causal
-	// sequence number.
+	// Core is the member the event happened on.
 	Core string `json:"core"`
-	Seq  uint64 `json:"seq"`
-	// At is the wall-clock record time at the origin core.
-	At time.Time `json:"at"`
-	// Kind and the remaining fields mirror flight.Event.
-	Kind          string `json:"kind"`
-	Complet       string `json:"complet,omitempty"`
-	Peer          string `json:"peer,omitempty"`
-	Detail        string `json:"detail,omitempty"`
-	DurationNanos int64  `json:"duration_ns,omitempty"`
-	Bytes         int    `json:"bytes,omitempty"`
-	Err           string `json:"err,omitempty"`
+	// Event is the occurrence as the origin core recorded it: its Seq is
+	// the per-core causal sequence number and At the wall-clock record time
+	// there.
+	flight.Event
 }
 
 // mergeBatches k-way merges per-member event batches (each Seq-ascending)

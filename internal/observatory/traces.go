@@ -7,7 +7,6 @@ import (
 	"sync"
 	"time"
 
-	"fargo/internal/core"
 	"fargo/internal/ids"
 	"fargo/internal/trace"
 	"fargo/internal/wire"
@@ -54,82 +53,80 @@ type Stitched struct {
 	Unreachable []ids.CoreID
 }
 
-// obsFanOut sends one ObsQuery to every member concurrently and returns the
-// answers plus the members that failed.
-func (o *Observatory) obsFanOut(ctx context.Context, req wire.ObsQuery) (map[ids.CoreID]wire.ObsQueryReply, []ids.CoreID) {
+// memberAnswer is one member's answer to a fan-out query.
+type memberAnswer struct {
+	id    ids.CoreID
+	reply wire.ObsQueryReply
+	err   error
+}
+
+// obsFanOut sends an ObsQuery, built per member by query, to every member
+// concurrently and returns the answers in member order.
+func (o *Observatory) obsFanOut(ctx context.Context, query func(ids.CoreID) wire.ObsQuery) []memberAnswer {
 	members := o.memberList()
-	type answer struct {
-		id    ids.CoreID
-		reply wire.ObsQueryReply
-		err   error
-	}
-	answers := make([]answer, len(members))
+	answers := make([]memberAnswer, len(members))
 	var wg sync.WaitGroup
 	for i, m := range members {
+		req := query(m)
 		wg.Add(1)
 		go func(i int, m ids.CoreID) {
 			defer wg.Done()
 			reply, err := o.c.ObsAtCtx(ctx, m, req)
-			answers[i] = answer{id: m, reply: reply, err: err}
+			answers[i] = memberAnswer{id: m, reply: reply, err: err}
 		}(i, m)
 	}
 	wg.Wait()
-	out := make(map[ids.CoreID]wire.ObsQueryReply, len(members))
+	return answers
+}
+
+// obsFanOutAll sends the same ObsQuery to every member and returns the
+// answers of those that replied, in member order, plus the members that
+// failed.
+func (o *Observatory) obsFanOutAll(ctx context.Context, req wire.ObsQuery) ([]memberAnswer, []ids.CoreID) {
+	var ok []memberAnswer
 	var unreachable []ids.CoreID
-	for _, a := range answers {
+	for _, a := range o.obsFanOut(ctx, func(ids.CoreID) wire.ObsQuery { return req }) {
 		if a.err != nil {
 			unreachable = append(unreachable, a.id)
 			continue
 		}
-		out[a.id] = a.reply
+		ok = append(ok, a)
 	}
-	return out, unreachable
+	return ok, unreachable
 }
 
 // Traces lists the traces retained anywhere in the deployment, merged by
 // TraceID (newest first), plus the members that did not answer. It errors
 // only when no member answered at all.
 func (o *Observatory) Traces(ctx context.Context, max int) ([]TraceEntry, []ids.CoreID, error) {
-	replies, unreachable := o.obsFanOut(ctx, wire.ObsQuery{Traces: true, TraceMax: max})
+	replies, unreachable := o.obsFanOutAll(ctx, wire.ObsQuery{Traces: true, TraceMax: max})
 	if len(replies) == 0 {
 		return nil, unreachable, fmt.Errorf("observatory: no member answered the trace listing (%d unreachable)", len(unreachable))
 	}
 	byID := make(map[trace.TraceID]*TraceEntry)
-	// The merged duration must be order-independent (replies is a map):
+	// The merged duration must not depend on the order members answer in:
 	// track the max end per trace separately and derive DurationNanos only
-	// once every shard has widened both bounds. Iterate members in sorted
-	// order anyway so the whole merge is deterministic across identical
-	// inputs.
+	// once every shard has widened both bounds. Members arrive in sorted
+	// order, so the whole merge is deterministic across identical inputs.
 	maxEnd := make(map[trace.TraceID]time.Time)
-	memberIDs := make([]ids.CoreID, 0, len(replies))
-	for id := range replies {
-		memberIDs = append(memberIDs, id)
-	}
-	sort.Slice(memberIDs, func(i, j int) bool { return memberIDs[i] < memberIDs[j] })
-	for _, id := range memberIDs {
-		reply := replies[id]
-		if reply.Traces == nil {
-			continue
-		}
-		for _, s := range reply.Traces.Summaries {
-			tid := trace.TraceID(s.Trace)
-			e, ok := byID[tid]
+	for _, a := range replies {
+		for _, s := range a.reply.Traces {
+			e, ok := byID[s.Trace]
 			if !ok {
-				e = &TraceEntry{Trace: tid, ID: tid.String(), Start: time.Unix(0, s.StartUnixNanos)}
-				byID[tid] = e
+				e = &TraceEntry{Trace: s.Trace, ID: s.Trace.String(), Start: s.Start}
+				byID[s.Trace] = e
 			}
 			e.Spans += s.Spans
-			e.Cores = append(e.Cores, id.String())
+			e.Cores = append(e.Cores, a.id.String())
 			if s.Root != "" {
 				e.Root = s.Root
 			}
-			start := time.Unix(0, s.StartUnixNanos)
-			end := start.Add(time.Duration(s.DurationNanos))
-			if start.Before(e.Start) {
-				e.Start = start
+			end := s.Start.Add(s.Duration)
+			if s.Start.Before(e.Start) {
+				e.Start = s.Start
 			}
-			if end.After(maxEnd[tid]) {
-				maxEnd[tid] = end
+			if end.After(maxEnd[s.Trace]) {
+				maxEnd[s.Trace] = end
 			}
 		}
 	}
@@ -157,19 +154,18 @@ func (o *Observatory) Traces(ctx context.Context, max int) ([]TraceEntry, []ids.
 // no member answered; an incomplete answer set comes back as a flagged
 // partial tree (Unreachable non-empty).
 func (o *Observatory) Stitch(ctx context.Context, id trace.TraceID) (Stitched, error) {
-	replies, unreachable := o.obsFanOut(ctx, wire.ObsQuery{Trace: uint64(id)})
+	replies, unreachable := o.obsFanOutAll(ctx, wire.ObsQuery{Trace: uint64(id)})
 	if len(replies) == 0 {
 		return Stitched{}, fmt.Errorf("observatory: no member answered the span fetch for %s (%d unreachable)", id, len(unreachable))
 	}
 	st := Stitched{Trace: id, Unreachable: unreachable}
 	coreSet := make(map[string]bool)
 	var all []trace.Span
-	for _, reply := range replies {
-		spans := core.SpansFromWire(reply.Spans)
-		for _, sp := range spans {
+	for _, a := range replies {
+		for _, sp := range a.reply.Spans {
 			coreSet[sp.Core] = true
 		}
-		all = append(all, spans...)
+		all = append(all, a.reply.Spans...)
 	}
 	st.Spans = trace.Dedupe(all)
 	sort.SliceStable(st.Spans, func(i, j int) bool { return st.Spans[i].Start.Before(st.Spans[j].Start) })

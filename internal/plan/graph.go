@@ -74,7 +74,7 @@ func (p *Planner) collect(ctx context.Context) (*Graph, error) {
 		Load:      make(map[ids.CoreID]int),
 		Free:      make(map[ids.CoreID]int),
 	}
-	replies := make([]wire.PlanStatsQueryReply, 0, len(members))
+	replies := make([]wire.PlanStatsReply, 0, len(members))
 	for _, m := range members {
 		obs, err := p.c.ObsAtCtx(ctx, m, wire.ObsQuery{Plan: true})
 		if err != nil {

@@ -220,7 +220,7 @@ func (s *Shell) Exec(line string) error {
 		if err != nil {
 			return err
 		}
-		core.FormatStats(s.out, *reply.Stats)
+		reply.Stats.WriteText(s.out)
 		return nil
 	case "top":
 		if len(args) < 1 || len(args) > 2 {
@@ -539,7 +539,7 @@ func (s *Shell) Exec(line string) error {
 			reply.Core, reply.Total, len(reply.Events))
 		for _, ev := range reply.Events {
 			fmt.Fprintf(s.out, "  #%-5d %s %-13s", ev.Seq,
-				time.Unix(0, ev.UnixNanos).Format("15:04:05.000"), ev.Kind)
+				ev.At.Format("15:04:05.000"), ev.Kind)
 			if ev.Complet != "" {
 				fmt.Fprintf(s.out, " %s", ev.Complet)
 			}
@@ -570,7 +570,7 @@ func (s *Shell) Exec(line string) error {
 			if err != nil {
 				return err
 			}
-			sums := reply.Traces.Summaries
+			sums := reply.Traces
 			if len(sums) == 0 {
 				fmt.Fprintln(s.out, "(no traces retained; is sampling enabled?)")
 				return nil
@@ -591,7 +591,7 @@ func (s *Shell) Exec(line string) error {
 			if err != nil {
 				return err
 			}
-			spans = append(spans, core.SpansFromWire(reply.Spans)...)
+			spans = append(spans, reply.Spans...)
 		}
 		if len(spans) == 0 {
 			fmt.Fprintf(s.out, "no spans for trace %s at the queried core(s)\n", id)

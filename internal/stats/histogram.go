@@ -129,8 +129,8 @@ type HistogramSnapshot struct {
 	// Bounds are the ascending bucket upper bounds and Buckets the
 	// per-bucket (non-cumulative) counts, parallel slices. They feed
 	// exporters that need the full distribution (Prometheus _bucket
-	// series); renderers that only want percentiles may ignore them, and
-	// snapshots reconstructed from wire replies leave them nil.
+	// series), bucket-wise merges and the import of a moved complet's
+	// history; renderers that only want percentiles may ignore them.
 	Bounds  []float64
 	Buckets []uint64
 	// Exemplars is parallel to Buckets when present: slot i is the most

@@ -71,8 +71,8 @@ func (c *Collector) Snapshot() []Span {
 	return out
 }
 
-// TraceSpans returns the retained spans of one trace, oldest first.
-func (c *Collector) TraceSpans(id TraceID) []Span {
+// Trace returns the retained spans of one trace, oldest first.
+func (c *Collector) Trace(id TraceID) []Span {
 	var out []Span
 	for i := range c.shards {
 		sh := &c.shards[i]

@@ -64,7 +64,7 @@ func TestSamplingAlwaysRootsAndLinks(t *testing.T) {
 	child.Finish()
 	root.Finish()
 
-	spans := tr.Collector().TraceSpans(root.Trace)
+	spans := tr.Collector().Trace(root.Trace)
 	if len(spans) != 2 {
 		t.Fatalf("collector holds %d spans, want 2", len(spans))
 	}
@@ -99,7 +99,7 @@ func TestPeerSampledBitOverridesLocalRate(t *testing.T) {
 		t.Fatalf("ctx does not carry the new span")
 	}
 	sp.Finish()
-	if got := len(tr.Collector().TraceSpans(7)); got != 1 {
+	if got := len(tr.Collector().Trace(7)); got != 1 {
 		t.Fatalf("collector holds %d spans, want 1", got)
 	}
 }

@@ -11,8 +11,12 @@ import (
 	"fmt"
 	"sync"
 
+	"fargo/internal/flight"
 	"fargo/internal/ids"
+	"fargo/internal/metrics"
 	"fargo/internal/ref"
+	"fargo/internal/stats"
+	"fargo/internal/trace"
 )
 
 // Kind discriminates envelope payloads.
@@ -251,7 +255,7 @@ type MethodMeterState struct {
 	Method   string
 	Calls    uint64
 	Errors   uint64
-	Latency  HistogramStat
+	Latency  stats.HistogramSnapshot
 }
 
 // MoveCommand asks the core owning Target to move it to Dest. Like
@@ -502,119 +506,40 @@ type ProfileQueryReply struct {
 	Err   string
 }
 
-// HistogramStat is one histogram's snapshot in a StatsQueryReply (a plain
-// mirror of stats.HistogramSnapshot so wire stays free of stats types).
-type HistogramStat struct {
-	Count uint64
-	Sum   float64
-	P50   float64
-	P95   float64
-	P99   float64
-	// Bounds/Buckets carry the log-scale bucket layout (parallel slices,
-	// non-cumulative counts) so aggregators can merge histograms bucket-wise
-	// instead of averaging quantiles. Empty when the sender predates the
-	// observatory (gob leaves absent fields zero).
-	Bounds  []float64
-	Buckets []uint64
-	// ExemplarValues/ExemplarTraces/ExemplarNanos ship per-bucket exemplars
-	// (parallel to Buckets; empty TraceID = no exemplar for that bucket), so
-	// the metric→trace link survives federation. Empty when the sender
-	// predates exemplars.
-	ExemplarValues []float64
-	ExemplarTraces []string
-	ExemplarNanos  []int64
-}
-
-// StatsQueryReply is the stats section of an ObsQueryReply: one core's
-// metrics snapshot.
-type StatsQueryReply struct {
-	Core       ids.CoreID
-	Counters   map[string]uint64
-	Gauges     map[string]float64
-	Histograms map[string]HistogramStat
-}
-
-// TraceSummary describes one trace retained at the queried core.
-type TraceSummary struct {
-	Trace uint64
-	// Root is the root span's name when the queried core holds it ("" when
-	// the trace was rooted elsewhere).
-	Root           string
-	Spans          int
-	StartUnixNanos int64
-	DurationNanos  int64
-}
-
-// TraceSpan is one completed span shipped to a querier. Attributes travel as
-// parallel key/value slices (gob-friendly, order-preserving).
-type TraceSpan struct {
-	Trace          uint64
-	Span           uint64
-	Parent         uint64
-	Name           string
-	Core           ids.CoreID
-	StartUnixNanos int64
-	DurationNanos  int64
-	Err            string
-	AttrKeys       []string
-	AttrVals       []string
-}
-
-// TraceQueryReply is the traces section of an ObsQueryReply: the recent
-// trace summaries retained at a core.
-type TraceQueryReply struct {
-	Summaries []TraceSummary
-}
-
 // PeerHealth describes one peer as seen from the queried core: its circuit
 // state and whether the heartbeat prober currently declares it suspect.
 type PeerHealth struct {
-	Core    ids.CoreID
-	Breaker string // "closed" | "open" | "half-open"
-	Suspect bool
+	Core    ids.CoreID `json:"core"`
+	Breaker string     `json:"breaker"` // "closed" | "open" | "half-open"
+	Suspect bool       `json:"suspect"`
 }
 
-// HealthQueryReply is the health section of an ObsQueryReply: a core's
-// liveness/readiness verdict (the wire counterpart of the ops plane's
-// /healthz and /readyz endpoints, so shells reach the same state over the
-// fargo protocol).
-type HealthQueryReply struct {
-	Core ids.CoreID
+// Health is a core's liveness/readiness verdict: the health section of an
+// ObsQueryReply and, as JSON, the body the ops plane serves on /healthz and
+// /readyz.
+type Health struct {
+	Core ids.CoreID `json:"core"`
 	// Live is false when the core is shut down, or when every
 	// heartbeat-monitored peer is suspect (the core is isolated).
-	Live bool
+	Live bool `json:"live"`
 	// Ready is false while the core should not take new work: shut down,
 	// any suspect peer, any open breaker, or a movement in flight.
-	Ready         bool
-	Closed        bool
-	MovesInFlight int
-	Complets      int
-	Peers         []PeerHealth
+	Ready         bool         `json:"ready"`
+	Closed        bool         `json:"closed"`
+	MovesInFlight int          `json:"moves_in_flight"`
+	Complets      int          `json:"complets"`
+	Peers         []PeerHealth `json:"peers,omitempty"`
 	// JournalEnabled reports whether the core runs with a durable move
 	// journal; JournalRecords counts its records.
-	JournalEnabled bool
-	JournalRecords uint64
+	JournalEnabled bool   `json:"journal_enabled"`
+	JournalRecords uint64 `json:"journal_records"`
 	// PendingMoves counts journaled moves whose outcome is still unknown
 	// (PREPARE without COMMIT/ABORT); a core is not Ready while any remain.
-	PendingMoves int
+	PendingMoves int `json:"pending_moves"`
 	// MovesRecovered / MovesRolledBack count moves the recovery manager
 	// completed or rolled back since the core started.
-	MovesRecovered  uint64
-	MovesRolledBack uint64
-}
-
-// FlightEvent is one flight-recorder occurrence shipped to a querier (a
-// plain mirror of flight.Event so wire stays free of flight types).
-type FlightEvent struct {
-	Seq           uint64
-	UnixNanos     int64
-	Kind          string
-	Complet       string
-	Peer          string
-	Detail        string
-	DurationNanos int64
-	Bytes         int
-	Err           string
+	MovesRecovered  uint64 `json:"moves_recovered"`
+	MovesRolledBack uint64 `json:"moves_rolled_back"`
 }
 
 // FlightQueryReply is the flight section of an ObsQueryReply: the retained
@@ -622,7 +547,7 @@ type FlightEvent struct {
 type FlightQueryReply struct {
 	Core   ids.CoreID
 	Total  uint64 // occurrences ever recorded (ring may have evicted some)
-	Events []FlightEvent
+	Events []flight.Event
 }
 
 // PairStat is one directed communication-graph edge as observed at the core
@@ -637,9 +562,9 @@ type PairStat struct {
 	Bytes uint64
 }
 
-// PlanStatsQueryReply is the plan section of an ObsQueryReply: everything
+// PlanStatsReply is the plan section of an ObsQueryReply: everything
 // the layout planner's collector needs from one member core.
-type PlanStatsQueryReply struct {
+type PlanStatsReply struct {
 	Core     ids.CoreID
 	Complets []ids.CompletID
 	Pairs    []PairStat
@@ -686,23 +611,26 @@ type MethodStat struct {
 	Calls    uint64
 	Errors   uint64
 	InFlight int64
-	Latency  HistogramStat
+	Latency  stats.HistogramSnapshot
 }
 
-// ObsQueryReply answers an ObsQuery. Sections the query did not select are
-// nil; Spans carries the single-trace fetch when ObsQuery.Trace was set.
+// ObsQueryReply answers an ObsQuery. Each section is the type that produces
+// its data, so the same value is served over the wire, over HTTP and by the
+// shell. Sections the query did not select are nil; Traces lists the recent
+// trace summaries (nil as well when none is retained) and Spans carries the
+// single-trace fetch when ObsQuery.Trace was set.
 type ObsQueryReply struct {
 	Core   ids.CoreID
-	Stats  *StatsQueryReply
-	Health *HealthQueryReply
+	Stats  *metrics.Snapshot
+	Health *Health
 	Info   *CoreInfoReply
 	Flight *FlightQueryReply
-	Traces *TraceQueryReply
-	Spans  []TraceSpan
+	Traces []trace.Summary
+	Spans  []trace.Span
 	// Methods is the per-method telemetry table when ObsQuery.Methods was
 	// set (nil otherwise), sorted by descending call count.
 	Methods []MethodStat
-	Plan    *PlanStatsQueryReply
+	Plan    *PlanStatsReply
 }
 
 // --- codec ------------------------------------------------------------------
