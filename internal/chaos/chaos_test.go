@@ -241,7 +241,7 @@ func TestCleanMoveUnderDuplication(t *testing.T) {
 
 // TestRestartWithoutCheckpoint restarts a crashed destination that never
 // checkpointed: the journaled INSTALL payload alone must re-create the
-// complet.
+// complet, and with it the invocation accounting the bundle carried.
 func TestRestartWithoutCheckpoint(t *testing.T) {
 	h := newHarness(t, 13, false, "a", "b")
 	a := h.Core("a")
@@ -249,6 +249,12 @@ func TestRestartWithoutCheckpoint(t *testing.T) {
 
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
+	const pokes = 6
+	for i := 0; i < pokes; i++ {
+		if _, err := a.NewRefTo(id, "Ball", "a").InvokeCtx(ctx, "Poke"); err != nil {
+			t.Fatalf("poke: %v", err)
+		}
+	}
 	if err := a.MoveCtx(ctx, a.NewRefTo(id, "Ball", "a"), "b"); err != nil {
 		t.Fatalf("move: %v", err)
 	}
@@ -261,6 +267,10 @@ func TestRestartWithoutCheckpoint(t *testing.T) {
 	}
 	if _, err := h.RecoverAll(ctx); err != nil {
 		t.Fatalf("recover: %v", err)
+	}
+	// Read before AssertConverged, whose liveness poke is one more call.
+	if n, err := h.Core("b").Monitor().Instant(core.ServiceInvocationCount, id.String()); err != nil || n != pokes {
+		t.Fatalf("invocationCount at b after re-install = %v, %v; want %d", n, err, pokes)
 	}
 	owner, err := h.AssertConverged(ctx, id)
 	if err != nil {

@@ -20,6 +20,7 @@ import (
 	"fargo/internal/metrics"
 	"fargo/internal/ref"
 	"fargo/internal/registry"
+	"fargo/internal/stats"
 	"fargo/internal/trace"
 	"fargo/internal/transport"
 	"fargo/internal/wire"
@@ -55,6 +56,9 @@ type complet struct {
 	// gone is set (under W) once the complet has moved away; readers that
 	// were blocked on moveMu re-route through the tracker.
 	gone bool
+	// meters is the complet's invocation accounting (meters.go); it travels
+	// in the movement bundle and is released with the entry.
+	meters meters
 }
 
 // tracker is the per-core tracking record for one complet (§3.1). At most one
@@ -488,12 +492,18 @@ type CoreAware interface {
 // --- repository ------------------------------------------------------------
 
 // install registers a complet hosted by this core and marks its tracker
-// local.
-func (c *Core) install(id ids.CompletID, typeName string, anchor any) *complet {
+// local. A complet arriving in a movement bundle (live or re-installed from
+// the journal) passes that bundle, whose accounting seeds its meters before
+// the entry becomes visible.
+func (c *Core) install(id ids.CompletID, typeName string, anchor any, bundle *wire.MoveRequest) *complet {
 	if ca, ok := anchor.(CoreAware); ok {
 		ca.SetCore(c)
 	}
 	entry := &complet{id: id, typeName: typeName, anchor: anchor}
+	entry.meters.rate = stats.MustRateMeter(rateWindow, 20)
+	if bundle != nil {
+		c.seedMeters(entry, bundle)
+	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	c.complets[id] = entry
@@ -516,11 +526,12 @@ func (c *Core) lookup(id ids.CompletID) (*complet, bool) {
 }
 
 // remove unregisters a complet after it moved away, pointing its tracker at
-// the destination.
+// the destination and releasing its meters. It is the one place a complet
+// leaves a core; callers hold the complet's W-lock.
 func (c *Core) remove(id ids.CompletID, movedTo ids.CoreID) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	if entry, ok := c.complets[id]; ok {
+	entry, hosted := c.complets[id]
+	if hosted {
 		delete(c.byAnchor, entry.anchor)
 		delete(c.complets, id)
 	}
@@ -530,6 +541,21 @@ func (c *Core) remove(id ids.CompletID, movedTo ids.CoreID) {
 		c.trackers[id] = t
 	}
 	t.setForward(movedTo)
+	c.mu.Unlock()
+	if hosted {
+		c.releaseMeters(entry)
+	}
+}
+
+// hosted snapshots the repository entries.
+func (c *Core) hosted() []*complet {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	out := make([]*complet, 0, len(c.complets))
+	for _, e := range c.complets {
+		out = append(out, e)
+	}
+	return out
 }
 
 // trackerFor returns the core's tracker for the complet, creating one that
@@ -648,7 +674,7 @@ func (c *Core) NewComplet(typeName string, args ...any) (*ref.Ref, error) {
 		return nil, err
 	}
 	id := c.mint.Next()
-	c.install(id, typeName, anchor)
+	c.install(id, typeName, anchor, nil)
 	return ref.New(id, typeName, c.id, c.binder()), nil
 }
 

@@ -238,7 +238,7 @@ func (c *Core) invokeLocalFrom(ctx context.Context, target, source ids.CompletID
 	// Anchors passed as arguments arrive as references already (the
 	// encoder rejects raw anchors; see EncodeArgs callers), so args are
 	// ready for dispatch.
-	mm := c.mon.methodMeterFor(target, entry.typeName, method)
+	mm := c.methodMeter(entry, method)
 	var execStart time.Time
 	if mm != nil {
 		mm.begin()
@@ -248,7 +248,7 @@ func (c *Core) invokeLocalFrom(ctx context.Context, target, source ids.CompletID
 	if mm != nil {
 		mm.end(time.Since(execStart), sampledTrace, err != nil)
 	}
-	c.mon.recordInvocation(source, target, entry.typeName, method, len(argBytes))
+	entry.meters.record(source, len(argBytes))
 	c.met.invokeLocal.Inc()
 	if err != nil {
 		err = &methodError{err: fmt.Errorf("core: %s.%s: %w", entry.typeName, method, err)}

@@ -148,58 +148,25 @@ type subscription struct {
 type Monitor struct {
 	c *Core
 
-	mu        sync.Mutex
-	services  map[string]ServiceFunc
-	profiles  map[profKey]*profEntry
-	cache     map[profKey]cacheEntry
-	subs      map[string]*subscription
-	rateByDst map[ids.CompletID]*stats.RateMeter
-	pairs     map[pairKey]*pairMeter
-	countBy   map[ids.CompletID]*stats.Counter
-	bytesIn   stats.Counter
-	seq       ids.Sequencer
-	closed    bool
-
-	// Per-method SLO instruments (methodstats.go). Guarded by their own
-	// RWMutex: the invoke hot path takes only a read lock per call once a
-	// meter exists, and never contends with the profiling mutex above.
-	methodsMu  sync.RWMutex
-	methods    map[methodKey]*methodMeter
-	methodsOff bool
+	mu       sync.Mutex
+	services map[string]ServiceFunc
+	profiles map[profKey]*profEntry
+	cache    map[profKey]cacheEntry
+	subs     map[string]*subscription
+	seq      ids.Sequencer
+	closed   bool
 
 	wg sync.WaitGroup
 }
 
-// pairKey identifies one directed reference edge (source complet → target
-// complet). Keying on complet identity — not on the observing core or any
-// tracker-local state — is what lets pair accounting survive relocation: when
-// the target moves, its meters travel in the movement bundle under the same
-// key (exportMeters/importMeters).
-type pairKey struct {
-	src, dst ids.CompletID
-}
-
-// pairMeter is the per-edge accounting: a windowed invocation-rate meter and
-// the cumulative argument bytes carried on the edge (the planner's cost model
-// weighs both).
-type pairMeter struct {
-	rate  *stats.RateMeter
-	bytes stats.Counter
-}
-
 func newMonitor(c *Core) *Monitor {
 	m := &Monitor{
-		c:         c,
-		services:  make(map[string]ServiceFunc),
-		profiles:  make(map[profKey]*profEntry),
-		cache:     make(map[profKey]cacheEntry),
-		subs:      make(map[string]*subscription),
-		rateByDst: make(map[ids.CompletID]*stats.RateMeter),
-		pairs:     make(map[pairKey]*pairMeter),
-		countBy:   make(map[ids.CompletID]*stats.Counter),
-		methods:   make(map[methodKey]*methodMeter),
+		c:        c,
+		services: make(map[string]ServiceFunc),
+		profiles: make(map[profKey]*profEntry),
+		cache:    make(map[profKey]cacheEntry),
+		subs:     make(map[string]*subscription),
 	}
-	m.methodsOff = c.opts.DisablePerMethodStats
 	m.services[ServiceCompletLoad] = m.svcCompletLoad
 	m.services[ServiceMemory] = m.svcMemory
 	m.services[ServiceLatency] = m.svcLatency
@@ -359,8 +326,9 @@ func (m *Monitor) Start(interval time.Duration, service string, args ...string) 
 	m.mu.Unlock()
 
 	// The sampler takes a synchronous first sample, and service functions
-	// may need the monitor mutex (e.g. invocationRate) — so it must start
-	// outside the lock. Parties that joined meanwhile wait on ready.
+	// may need the monitor mutex (an application service that calls
+	// Instant, say) — so it must start outside the lock. Parties that
+	// joined meanwhile wait on ready.
 	if entry.err = sampler.Start(interval); entry.err != nil {
 		m.mu.Lock()
 		if m.profiles[key] == entry {
@@ -485,250 +453,66 @@ func (m *Monitor) pingRTT(peer ids.CoreID, n int) (time.Duration, error) {
 	return time.Since(start), nil
 }
 
+// hostedArg returns the hosted complet a service argument names; false when
+// the argument is not a complet ID or the complet is not hosted here.
+func (m *Monitor) hostedArg(s string) (*complet, bool) {
+	id, ok := ids.ParseCompletID(s)
+	if !ok {
+		return nil, false
+	}
+	return m.c.lookup(id)
+}
+
+// svcInvocationRate reads the target's meters, which live on its repository
+// entry; a complet not hosted here has no invocations observed here.
 func (m *Monitor) svcInvocationRate(args []string) (float64, error) {
-	switch len(args) {
-	case 1:
-		m.mu.Lock()
-		meter, ok := m.rateByDst[mustParseComplet(args[0])]
-		m.mu.Unlock()
-		if !ok {
-			return 0, nil
-		}
-		return meter.Rate(), nil
-	case 2:
-		// Keyed on parsed complet identity (not the raw strings), so the
-		// measurement is the same edge regardless of which core hosts the
-		// target right now.
-		key := pairKey{src: mustParseComplet(args[0]), dst: mustParseComplet(args[1])}
-		m.mu.Lock()
-		pm, ok := m.pairs[key]
-		m.mu.Unlock()
-		if !ok {
-			return 0, nil
-		}
-		return pm.rate.Rate(), nil
-	default:
+	if len(args) != 1 && len(args) != 2 {
 		return 0, fmt.Errorf("monitor: invocationRate takes (target) or (source, target)")
 	}
+	e, ok := m.hostedArg(args[len(args)-1])
+	if !ok {
+		return 0, nil
+	}
+	if len(args) == 1 {
+		return e.meters.rate.Rate(), nil
+	}
+	// Keyed on parsed complet identity, so the measurement is the same edge
+	// regardless of which core hosts the target right now.
+	src, _ := ids.ParseCompletID(args[0])
+	pm, ok := e.meters.pairs.get(src)
+	if !ok {
+		return 0, nil
+	}
+	return pm.rate.Rate(), nil
 }
 
 func (m *Monitor) svcInvocationCount(args []string) (float64, error) {
 	if len(args) != 1 {
 		return 0, fmt.Errorf("monitor: invocationCount takes one argument (target)")
 	}
-	m.mu.Lock()
-	ctr, ok := m.countBy[mustParseComplet(args[0])]
-	m.mu.Unlock()
+	e, ok := m.hostedArg(args[0])
 	if !ok {
 		return 0, nil
 	}
-	return float64(ctr.Value()), nil
+	return float64(e.meters.count.Value()), nil
 }
 
 func (m *Monitor) svcCompletSize(args []string) (float64, error) {
 	if len(args) != 1 {
 		return 0, fmt.Errorf("monitor: completSize takes one argument (complet)")
 	}
-	id := mustParseComplet(args[0])
-	entry, ok := m.c.lookup(id)
+	entry, ok := m.hostedArg(args[0])
 	if !ok {
-		return 0, fmt.Errorf("monitor: %w: %s", ErrUnknownComplet, id)
+		return 0, fmt.Errorf("monitor: %w: %s", ErrUnknownComplet, args[0])
 	}
 	entry.moveMu.RLock()
 	defer entry.moveMu.RUnlock()
 	if entry.gone {
-		return 0, fmt.Errorf("monitor: %w: %s", ErrUnknownComplet, id)
+		return 0, fmt.Errorf("monitor: %w: %s", ErrUnknownComplet, args[0])
 	}
 	data, _, err := wire.EncodeArgs([]any{entry.anchor})
 	if err != nil {
 		return 0, err
 	}
 	return float64(len(data)), nil
-}
-
-// mustParseComplet parses a CompletID rendered by CompletID.String
-// ("birth/#seq"); malformed strings yield the zero ID (which matches no
-// meter).
-func mustParseComplet(s string) ids.CompletID {
-	i := strings.LastIndex(s, "/#")
-	if i < 0 {
-		return ids.CompletID{}
-	}
-	var seq uint64
-	if _, err := fmt.Sscanf(s[i+2:], "%d", &seq); err != nil {
-		return ids.CompletID{}
-	}
-	return ids.CompletID{Birth: ids.CoreID(s[:i]), Seq: seq}
-}
-
-// recordInvocation feeds the application-profiling meters (§4.1). It is on
-// the invocation hot path; meters are created lazily.
-func (m *Monitor) recordInvocation(source, target ids.CompletID, typeName, method string, argBytes int) {
-	m.mu.Lock()
-	meter, ok := m.rateByDst[target]
-	if !ok {
-		meter = stats.MustRateMeter(rateWindow, 20)
-		m.rateByDst[target] = meter
-	}
-	ctr, ok := m.countBy[target]
-	if !ok {
-		ctr = &stats.Counter{}
-		m.countBy[target] = ctr
-	}
-	var pm *pairMeter
-	if !source.Nil() {
-		key := pairKey{src: source, dst: target}
-		pm, ok = m.pairs[key]
-		if !ok {
-			pm = &pairMeter{rate: stats.MustRateMeter(rateWindow, 20)}
-			m.pairs[key] = pm
-		}
-	}
-	m.mu.Unlock()
-
-	meter.Mark(1)
-	ctr.Inc()
-	if pm != nil {
-		pm.rate.Mark(1)
-		pm.bytes.Add(uint64(argBytes))
-	}
-	m.bytesIn.Add(uint64(argBytes))
-}
-
-// InvocationBytes returns the cumulative argument bytes received by this
-// core's invocation unit.
-func (m *Monitor) InvocationBytes() uint64 { return m.bytesIn.Value() }
-
-// --- planner support ---------------------------------------------------------
-
-// PairStats snapshots every per-reference meter observed at this core as
-// directed communication-graph edges, sorted deterministically. The layout
-// planner's collector aggregates these across member cores (DESIGN.md §14).
-func (m *Monitor) PairStats() []wire.PairStat {
-	m.mu.Lock()
-	keys := make([]pairKey, 0, len(m.pairs))
-	meters := make([]*pairMeter, 0, len(m.pairs))
-	for k, pm := range m.pairs {
-		keys = append(keys, k)
-		meters = append(meters, pm)
-	}
-	m.mu.Unlock()
-	out := make([]wire.PairStat, 0, len(keys))
-	for i, k := range keys {
-		pm := meters[i]
-		out = append(out, wire.PairStat{
-			Src:   k.src,
-			Dst:   k.dst,
-			Rate:  pm.rate.Rate(),
-			Count: pm.rate.Count(),
-			Bytes: pm.bytes.Value(),
-		})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Src != out[j].Src {
-			return out[i].Src.String() < out[j].Src.String()
-		}
-		return out[i].Dst.String() < out[j].Dst.String()
-	})
-	return out
-}
-
-// exportMeters snapshots the invocation-accounting state of the given
-// complets for shipment inside a movement bundle: their lifetime counts,
-// windowed counts, and the per-source pair meters whose destination is a
-// departing complet. Pair meters whose *source* departs stay put — they are
-// recorded at the core hosting the destination, which is not moving.
-func (m *Monitor) exportMeters(targets []ids.CompletID) []wire.MeterState {
-	if len(targets) == 0 {
-		return nil
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	out := make([]wire.MeterState, 0, len(targets))
-	for _, t := range targets {
-		st := wire.MeterState{Target: t}
-		if ctr, ok := m.countBy[t]; ok {
-			st.Count = ctr.Value()
-		}
-		if meter, ok := m.rateByDst[t]; ok {
-			st.Window = meter.Count()
-		}
-		for k, pm := range m.pairs {
-			if k.dst != t {
-				continue
-			}
-			st.Pairs = append(st.Pairs, wire.PairMeterState{
-				Src:    k.src,
-				Window: pm.rate.Count(),
-				Bytes:  pm.bytes.Value(),
-			})
-		}
-		if st.Count == 0 && st.Window == 0 && len(st.Pairs) == 0 {
-			continue
-		}
-		sort.Slice(st.Pairs, func(i, j int) bool {
-			return st.Pairs[i].Src.String() < st.Pairs[j].Src.String()
-		})
-		out = append(out, st)
-	}
-	return out
-}
-
-// importMeters merges meter state shipped with a movement bundle into this
-// core's accounting, under the complets' unchanged identities. Windowed
-// counts land in the current bucket — a coarse placement within the window,
-// but the window total (what rates and the planner's edge weights read) is
-// exact.
-func (m *Monitor) importMeters(states []wire.MeterState) {
-	for _, st := range states {
-		m.mu.Lock()
-		meter, ok := m.rateByDst[st.Target]
-		if !ok {
-			meter = stats.MustRateMeter(rateWindow, 20)
-			m.rateByDst[st.Target] = meter
-		}
-		ctr, ok := m.countBy[st.Target]
-		if !ok {
-			ctr = &stats.Counter{}
-			m.countBy[st.Target] = ctr
-		}
-		pms := make([]*pairMeter, len(st.Pairs))
-		for i, p := range st.Pairs {
-			key := pairKey{src: p.Src, dst: st.Target}
-			pm, ok := m.pairs[key]
-			if !ok {
-				pm = &pairMeter{rate: stats.MustRateMeter(rateWindow, 20)}
-				m.pairs[key] = pm
-			}
-			pms[i] = pm
-		}
-		m.mu.Unlock()
-
-		if st.Window > 0 {
-			meter.Mark(st.Window)
-		}
-		ctr.Add(st.Count)
-		for i, p := range st.Pairs {
-			if p.Window > 0 {
-				pms[i].rate.Mark(p.Window)
-			}
-			pms[i].bytes.Add(p.Bytes)
-		}
-	}
-}
-
-// dropMeters discards the accounting of complets that moved away, so the
-// departed state is counted at exactly one core (its new host).
-func (m *Monitor) dropMeters(targets []ids.CompletID) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	for _, t := range targets {
-		delete(m.rateByDst, t)
-		delete(m.countBy, t)
-		for k := range m.pairs {
-			if k.dst == t {
-				delete(m.pairs, k)
-			}
-		}
-	}
 }

@@ -199,6 +199,46 @@ func TestPerReferenceInvocationRate(t *testing.T) {
 	}
 }
 
+// TestInvokeTakesNoMonitorLock runs a co-located invocation — first-use
+// meter creation included — while the monitor's mutex is held: the meters
+// live on the hosted complet, so the invoke path must not wait for it.
+func TestInvokeTakesNoMonitorLock(t *testing.T) {
+	cl := newCluster(t, "a")
+	a := cl.core("a")
+	target, err := a.NewComplet("Msg", "t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	caller, err := a.NewComplet("Holder", "caller")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := caller.Invoke("SetOut", target); err != nil {
+		t.Fatal(err)
+	}
+	entry, _ := a.lookup(caller.Target())
+	entry.anchor.(*holder).Out.SetOwner(caller.Target())
+
+	a.mon.mu.Lock()
+	defer a.mon.mu.Unlock()
+	done := make(chan error, 1)
+	go func() {
+		_, err := caller.Invoke("CallOut")
+		done <- err
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(2 * time.Second):
+		t.Fatal("co-located invocation blocked on the monitor mutex")
+	}
+	if rows := a.Monitor().PairStats(); len(rows) != 1 || rows[0].Count != 1 {
+		t.Fatalf("pair rows = %+v, want the one edge counted once", rows)
+	}
+}
+
 func TestCompletSizeService(t *testing.T) {
 	cl := newCluster(t, "a")
 	a := cl.core("a")

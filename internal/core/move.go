@@ -458,12 +458,16 @@ func (c *Core) moveLocal(ctx context.Context, rootID ids.CompletID, dest ids.Cor
 		Names:              names,
 		PreDup:             preDup,
 		Epoch:              pm.epoch,
-		// Invocation accounting travels with the complets (meters key on
-		// complet identity, so rates survive relocation); the departing
-		// copies are captured while their W-locks block new invocations.
-		Meters: c.mon.exportMeters(pm.complets),
-		// Per-method SLO telemetry travels the same way (DESIGN.md §16).
-		MethodMeters: c.mon.exportMethodMeters(pm.complets),
+	}
+	// Invocation accounting and per-method telemetry travel with the
+	// complets (meters key on complet identity, so rates survive
+	// relocation); the W-locks keep the snapshots still.
+	for _, e := range locked {
+		st, methods := e.meterStates()
+		if st != nil {
+			bundle.Meters = append(bundle.Meters, *st)
+		}
+		bundle.MethodMeters = append(bundle.MethodMeters, methods...)
 	}
 	if c.stepCrash(StepBeforePrepare, rootID) {
 		return fail(errSimulatedCrash)
@@ -547,17 +551,13 @@ func (c *Core) moveLocal(ctx context.Context, rootID ids.CompletID, dest ids.Cor
 	// "Gone" and "tracker forwards to dest" are one transition under the
 	// W-lock: an invocation that blocked on moveMu wakes to a tracker that
 	// already points away, so it retries once instead of spinning on a
-	// stale "local" until the hop budget runs out.
+	// stale "local" until the hop budget runs out. remove also releases the
+	// departed meters, which now live at the destination.
 	for _, e := range locked {
 		e.gone = true
 		c.remove(e.id, dest)
 	}
 	unlock()
-	// The departed complets' accounting now lives at the destination
-	// (shipped with the bundle); dropping it here keeps every meter counted
-	// at exactly one core.
-	c.mon.dropMeters(pm.complets)
-	c.mon.dropMethodMeters(pm.complets)
 	for _, e := range locked {
 		if cb, ok := e.anchor.(PostDeparture); ok {
 			cb.PostDeparture(dest)
@@ -677,7 +677,7 @@ func (c *Core) installDuplicate(typeName string, data []byte) (ids.CompletID, er
 	}
 	c.bindDecoded(decoded)
 	newID := c.mint.Next()
-	c.install(newID, typeName, vals[0])
+	c.install(newID, typeName, vals[0], nil)
 	c.mon.fireBuiltin(EventCompletArrived, newID, "duplicate")
 	return newID, nil
 }
@@ -836,18 +836,15 @@ func (c *Core) installBundleLocked(from ids.CoreID, req wire.MoveRequest, raw []
 	installed := make([]ids.CompletID, 0, len(arrived))
 	homeTracking := c.homeTrackingEnabled()
 	for _, a := range arrived {
-		c.install(a.id, a.typeName, a.anchor)
+		// The shipped accounting seeds each arrival under its unchanged
+		// identity, so rates observed before the move keep informing the
+		// layout planner here.
+		c.install(a.id, a.typeName, a.anchor, &req)
 		installed = append(installed, a.id)
 		if homeTracking {
 			c.reportHome(a.id)
 		}
 	}
-
-	// Merge the shipped invocation accounting under the complets' unchanged
-	// identities, so rates observed before the move keep informing the
-	// layout planner here.
-	c.mon.importMeters(req.Meters)
-	c.mon.importMethodMeters(req.MethodMeters)
 
 	// Register carried names against the (tracking) references.
 	for name, idx := range req.Names {

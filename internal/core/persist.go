@@ -244,7 +244,7 @@ func (c *Core) Restore(r io.Reader) (int, error) {
 			dr.SetOwner(rc.entry.ID)
 		}
 		c.bindDecoded(rc.decoded)
-		c.install(rc.entry.ID, rc.entry.TypeName, rc.anchor)
+		c.install(rc.entry.ID, rc.entry.TypeName, rc.anchor, nil)
 		c.mon.fireBuiltin(EventCompletArrived, rc.entry.ID, "restore")
 	}
 	for name, nr := range names {

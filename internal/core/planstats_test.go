@@ -4,6 +4,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"fargo/internal/ids"
 )
 
 // TestPairAccountingSurvivesMove is the regression test for the planner's
@@ -76,6 +78,70 @@ func TestPairAccountingSurvivesMove(t *testing.T) {
 		v, err := cl.core("c").Monitor().Instant(ServiceInvocationCount, dst)
 		return err == nil && v == n+5
 	})
+}
+
+// TestMetersConcurrentRecordAndRead has several sources create and mark pair
+// and method meters on one target at once while readers snapshot them: every
+// edge must end up counted exactly.
+func TestMetersConcurrentRecordAndRead(t *testing.T) {
+	cl := newCluster(t, "a")
+	a := cl.core("a")
+	target, err := a.NewComplet("Msg", "t")
+	if err != nil {
+		t.Fatal(err)
+	}
+	const callers, calls = 4, 25
+	var wg sync.WaitGroup
+	errs := make(chan error, callers)
+	for i := 0; i < callers; i++ {
+		// Each caller is a distinct source complet; Echo keeps the target
+		// itself free of shared state.
+		r := a.NewRefTo(target.Target(), "Msg", "a")
+		r.SetOwner(ids.CompletID{Birth: "src", Seq: uint64(i + 1)})
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for j := 0; j < calls; j++ {
+				if _, err := r.Invoke("Echo", j); err != nil {
+					errs <- err
+					return
+				}
+			}
+		}()
+	}
+	stop := make(chan struct{})
+	read := make(chan struct{})
+	go func() {
+		defer close(read)
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+				a.Monitor().PairStats()
+				a.Monitor().MethodStats()
+			}
+		}
+	}()
+	wg.Wait()
+	close(stop)
+	<-read
+	close(errs)
+	for err := range errs {
+		t.Fatalf("caller: %v", err)
+	}
+	rows := a.Monitor().PairStats()
+	if len(rows) != callers {
+		t.Fatalf("pair rows = %+v, want %d edges", rows, callers)
+	}
+	for _, r := range rows {
+		if r.Dst != target.Target() || r.Count != calls {
+			t.Fatalf("edge %+v, want %d calls into %s", r, calls, target.Target())
+		}
+	}
+	if m := a.Monitor().MethodStats(); len(m) != 1 || m[0].Method != "Echo" || m[0].Calls != callers*calls {
+		t.Fatalf("method rows = %+v, want one Echo row with %d calls", m, callers*calls)
+	}
 }
 
 // TestProfileInterestChurn hammers the interest-counted Start/Get/Stop

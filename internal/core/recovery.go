@@ -553,7 +553,7 @@ func (c *Core) reinstallFromRecord(rec *journal.Record) ([]ids.CompletID, error)
 			r.SetOwner(e.ID)
 		}
 		c.bindDecoded(refs)
-		c.install(e.ID, e.TypeName, anchor)
+		c.install(e.ID, e.TypeName, anchor, &req)
 		installed = append(installed, e.ID)
 		if homeTracking {
 			c.reportHome(e.ID)

@@ -236,6 +236,76 @@ func TestResolvedMoveReleasedBeforeLoserReturns(t *testing.T) {
 	}
 }
 
+// TestRecoveredMoveReleasesMeters commits a pending move through recovery
+// instead of the live protocol: the released complet's meters — count, pair
+// edges, method rows and their registry series — must leave the source with
+// it, exactly as after an acknowledged move.
+func TestRecoveredMoveReleasesMeters(t *testing.T) {
+	cl := newJournalCluster(t, "a", "b")
+	a := cl.cores["a"]
+	target, err := a.NewComplet("Msg", "metered")
+	if err != nil {
+		t.Fatal(err)
+	}
+	caller, err := a.NewComplet("Holder", "caller")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := caller.Invoke("SetOut", target); err != nil {
+		t.Fatal(err)
+	}
+	entry, _ := a.lookup(caller.Target())
+	entry.anchor.(*holder).Out.SetOwner(caller.Target())
+	for i := 0; i < 5; i++ {
+		invoke1(t, caller, "CallOut")
+	}
+	id := target.Target()
+	if rows := a.Monitor().PairStats(); len(rows) != 1 || rows[0].Dst != id {
+		t.Fatalf("pair rows before the move = %+v, want one edge into %s", rows, id)
+	}
+
+	if err := cl.net.StopHost("b"); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Move(target, "b"); err == nil {
+		t.Fatal("move to a dead destination succeeded")
+	}
+	a.recMu.Lock()
+	var pm *pendingMove
+	for _, p := range a.pendingOut {
+		pm = p
+	}
+	a.recMu.Unlock()
+	if pm == nil {
+		t.Fatal("no pending move")
+	}
+	if err := a.finishResolvedMove(pm, true); err != nil {
+		t.Fatal(err)
+	}
+	if _, hosted := a.lookup(id); hosted {
+		t.Fatal("source still hosts the complet after the recovered commit")
+	}
+
+	if n, err := a.Monitor().Instant(ServiceInvocationCount, id.String()); err != nil || n != 0 {
+		t.Fatalf("invocationCount at the source = %v, %v; want 0", n, err)
+	}
+	for _, ps := range a.Monitor().PairStats() {
+		if ps.Dst == id {
+			t.Fatalf("source still reports edge %+v", ps)
+		}
+	}
+	for _, row := range a.Monitor().MethodStats() {
+		if row.Complet == id {
+			t.Fatalf("source still reports method row %+v", row)
+		}
+	}
+	for name := range a.Metrics().Snapshot().Counters {
+		if strings.HasPrefix(name, "method_calls_total{") && strings.Contains(name, id.String()) {
+			t.Fatalf("source still scrapes series %s", name)
+		}
+	}
+}
+
 // TestRefusedEpochNeverInstalls checks the REFUSE promise: once a destination
 // has told a probing source "not installed", a late delivery of that epoch's
 // bundle must be rejected — otherwise the complet would exist both at the

@@ -237,10 +237,11 @@ func TestInvokeBlockedOnMoveRetriesOnce(t *testing.T) {
 		}()
 	}
 	time.Sleep(50 * time.Millisecond) // let the invokers reach the complet's read lock
-	// Holding the monitor lock stalls the mover in dropMeters, right after
-	// it releases the complet: any gap between "gone" and "tracker forwards"
-	// then stays open long enough for the woken invokers to exhaust their
-	// hop budget on stale-local retries.
+	// Holding the monitor lock stalls the mover in
+	// fireBuiltin(EventCompletDeparted), right after it releases the
+	// complet: any gap between "gone" and "tracker forwards" then stays
+	// open long enough for the woken invokers to exhaust their hop budget
+	// on stale-local retries.
 	src.mon.mu.Lock()
 	close(release)
 	time.Sleep(100 * time.Millisecond)
@@ -262,5 +263,58 @@ func TestInvokeBlockedOnMoveRetriesOnce(t *testing.T) {
 	}
 	if got := res[0].(int); got != invokers {
 		t.Fatalf("value %d after %d invocations", got, invokers)
+	}
+}
+
+// TestMoveUnlocksOnlyAfterTrackerFlip checks the invariant behind
+// TestInvokeBlockedOnMoveRetriesOnce without a timing race: moveLocal lets go
+// of a departed complet only after remove has pointed its tracker away.
+// remove needs the core mutex, so while the test holds that mutex no reader
+// may get the complet's lock.
+func TestMoveUnlocksOnlyAfterTrackerFlip(t *testing.T) {
+	cl := newCluster(t, "m0", "m1")
+	src := cl.core("m0")
+	r, err := src.NewComplet("Msg", "x")
+	if err != nil {
+		t.Fatal(err)
+	}
+	id := r.Target()
+	entry, ok := src.lookup(id)
+	if !ok {
+		t.Fatal("complet not hosted")
+	}
+	parked, release := make(chan struct{}), make(chan struct{})
+	src.SetMoveStepHook(func(step MoveStep, _ ids.CompletID) bool {
+		if step == StepAfterCommit {
+			close(parked)
+			<-release
+		}
+		return false
+	})
+	moved := make(chan error, 1)
+	go func() { moved <- src.MoveByID(id, "m1") }()
+	<-parked
+	readable := make(chan struct{})
+	go func() {
+		entry.moveMu.RLock()
+		entry.moveMu.RUnlock()
+		close(readable)
+	}()
+
+	src.mu.Lock()
+	close(release)
+	select {
+	case <-readable:
+		src.mu.Unlock()
+		t.Fatal("the moved complet was unlocked before remove repointed its tracker")
+	case <-time.After(100 * time.Millisecond):
+	}
+	src.mu.Unlock()
+	if err := <-moved; err != nil {
+		t.Fatalf("move: %v", err)
+	}
+	<-readable
+	if next, _ := src.TrackerTarget(id); next != "m1" {
+		t.Fatalf("tracker points at %q after the move, want m1", next)
 	}
 }

@@ -12,6 +12,8 @@ import (
 	"encoding/binary"
 	"encoding/hex"
 	"fmt"
+	"strconv"
+	"strings"
 	"sync/atomic"
 )
 
@@ -40,6 +42,20 @@ func (c CompletID) Nil() bool { return c.Birth.Nil() && c.Seq == 0 }
 // String renders the ID as "<birth-core>/#<seq>".
 func (c CompletID) String() string {
 	return fmt.Sprintf("%s/#%d", c.Birth, c.Seq)
+}
+
+// ParseCompletID parses the form String renders: a non-empty birth core,
+// "/#", and a positive decimal sequence number with nothing after it.
+func ParseCompletID(s string) (CompletID, bool) {
+	i := strings.LastIndex(s, "/#")
+	if i <= 0 {
+		return CompletID{}, false
+	}
+	seq, err := strconv.ParseUint(s[i+2:], 10, 64)
+	if err != nil || seq == 0 {
+		return CompletID{}, false
+	}
+	return CompletID{Birth: CoreID(s[:i]), Seq: seq}, true
 }
 
 // RequestID correlates an RPC request with its response.

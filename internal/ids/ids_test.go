@@ -99,6 +99,27 @@ func TestCompletIDString(t *testing.T) {
 	}
 }
 
+// TestParseCompletID round-trips String output through ParseCompletID and
+// rejects everything String cannot produce.
+func TestParseCompletID(t *testing.T) {
+	for _, id := range []CompletID{
+		{Birth: "core-1", Seq: 42},
+		{Birth: "a", Seq: 1},
+		{Birth: "odd/#name", Seq: 7},
+		{Birth: "max", Seq: ^uint64(0)},
+	} {
+		got, ok := ParseCompletID(id.String())
+		if !ok || got != id {
+			t.Errorf("ParseCompletID(%q) = %v, %v; want %v", id.String(), got, ok, id)
+		}
+	}
+	for _, bad := range []string{"", "x", "/#1", "a/#0", "a/#x", "a/#12x", "a/#+5", "a/# 5", "a/#-1"} {
+		if _, ok := ParseCompletID(bad); ok {
+			t.Errorf("ParseCompletID(%q) accepted", bad)
+		}
+	}
+}
+
 func TestNil(t *testing.T) {
 	if !(CompletID{}).Nil() {
 		t.Error("zero CompletID should be Nil")

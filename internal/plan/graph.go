@@ -21,8 +21,8 @@ type pair struct {
 
 // Edge is one aggregated communication-graph edge: invocations from Src to
 // Dst, wherever the two happen to be hosted right now. Edges are keyed on
-// complet identity, so they survive moves (the meters travel with the
-// complets — see core.Monitor exportMeters/importMeters).
+// complet identity, so they survive moves (the meters live on the hosted
+// complet and travel in its movement bundle).
 type Edge struct {
 	Src   ids.CompletID
 	Dst   ids.CompletID
@@ -62,8 +62,10 @@ func (g *Graph) CrossRate() float64 {
 
 // collect queries every member core for its planner snapshot and aggregates
 // the answers into one graph. Pair edges are accepted only from the core that
-// currently hosts the edge's destination (where they are recorded), which
-// discards any stale meters a crash recovery may have left behind.
+// the same snapshot places the edge's destination on (where they are
+// recorded): members answer at slightly different instants, so a complet
+// that moved between two answers can be reported by both its old and its
+// new host.
 func (p *Planner) collect(ctx context.Context) (*Graph, error) {
 	members := p.members()
 	g := &Graph{
@@ -98,7 +100,7 @@ func (p *Planner) collect(ctx context.Context) (*Graph, error) {
 	for _, rep := range replies {
 		for _, ps := range rep.Pairs {
 			if g.Placement[ps.Dst] != rep.Core {
-				continue // stale meter from a pre-recovery host
+				continue // reported by a host the snapshot does not place it on
 			}
 			if ps.Count == 0 && ps.Rate == 0 {
 				continue

@@ -3,7 +3,6 @@ package script
 import (
 	"context"
 	"fmt"
-	"strings"
 	"time"
 
 	"fargo/internal/core"
@@ -218,24 +217,11 @@ func (r *CoreRuntime) CoreOf(target string) (string, error) {
 // ("core/#7") or a logical name in the local naming service — into a
 // CompletID.
 func (r *CoreRuntime) resolveComplet(s string) (ids.CompletID, error) {
-	if id, ok := parseCompletID(s); ok {
+	if id, ok := ids.ParseCompletID(s); ok {
 		return id, nil
 	}
 	if ref, ok := r.c.Lookup(s); ok {
 		return ref.Target(), nil
 	}
 	return ids.CompletID{}, fmt.Errorf("script: unknown complet %q (neither an ID nor a registered name)", s)
-}
-
-// parseCompletID parses CompletID.String output ("birth/#seq").
-func parseCompletID(s string) (ids.CompletID, bool) {
-	i := strings.LastIndex(s, "/#")
-	if i <= 0 {
-		return ids.CompletID{}, false
-	}
-	var seq uint64
-	if _, err := fmt.Sscanf(s[i+2:], "%d", &seq); err != nil || seq == 0 {
-		return ids.CompletID{}, false
-	}
-	return ids.CompletID{Birth: ids.CoreID(s[:i]), Seq: seq}, true
 }

@@ -642,23 +642,10 @@ func (s *Shell) RefFor(designator string) (*ref.Ref, error) {
 	if r, ok := s.c.Lookup(designator); ok {
 		return r, nil
 	}
-	if id, ok := ParseCompletID(designator); ok {
+	if id, ok := ids.ParseCompletID(designator); ok {
 		return s.c.NewRefTo(id, "", id.Birth), nil
 	}
 	return nil, fmt.Errorf("%q is neither a local name nor a complet ID (birth/#seq)", designator)
-}
-
-// ParseCompletID parses CompletID.String output ("birth/#seq").
-func ParseCompletID(s string) (ids.CompletID, bool) {
-	i := strings.LastIndex(s, "/#")
-	if i <= 0 {
-		return ids.CompletID{}, false
-	}
-	seq, err := strconv.ParseUint(s[i+2:], 10, 64)
-	if err != nil || seq == 0 {
-		return ids.CompletID{}, false
-	}
-	return ids.CompletID{Birth: ids.CoreID(s[:i]), Seq: seq}, true
 }
 
 // ParseArgs converts shell words to typed invocation arguments: integers and

@@ -260,18 +260,6 @@ func TestShellArgParsing(t *testing.T) {
 	}
 }
 
-func TestShellCompletIDParsing(t *testing.T) {
-	id, ok := ParseCompletID("core-1/#42")
-	if !ok || id.Birth != "core-1" || id.Seq != 42 {
-		t.Fatalf("ParseCompletID = %v, %v", id, ok)
-	}
-	for _, bad := range []string{"", "x", "/#1", "a/#0", "a/#x"} {
-		if _, ok := ParseCompletID(bad); ok {
-			t.Errorf("ParseCompletID(%q) accepted", bad)
-		}
-	}
-}
-
 func TestShellErrors(t *testing.T) {
 	cores := testDeployment(t, "admin")
 	s, _ := newShell(t, cores["admin"])

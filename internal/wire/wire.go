@@ -216,8 +216,8 @@ type MoveRequest struct {
 	// Meters carries the source core's invocation-accounting state for the
 	// moved complets, so rates and counts keyed on complet identity survive
 	// relocation (the planner's graph edges must not reset on every move).
-	// The destination merges them into its monitor at install time; empty
-	// for bundles from cores predating the planner.
+	// The destination seeds the arriving complets' meters from them at
+	// install time; empty for bundles from cores predating the planner.
 	Meters []MeterState
 	// MethodMeters carries the per-method SLO instruments (latency
 	// histograms, call/error counts) of the moved complets, so method-level

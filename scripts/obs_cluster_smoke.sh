@@ -147,51 +147,51 @@ fetch() {
 metrics=""
 for _ in $(seq 1 60); do
     metrics=$(fetch /cluster/metrics)
-    if echo "$metrics" | grep -q 'core="a"' &&
-        echo "$metrics" | grep -q 'core="b"' &&
-        echo "$metrics" | grep -q 'core="c"' &&
-        echo "$metrics" | grep -q '^cluster_members_up 3$'; then
+    if grep -q 'core="a"' <<<"$metrics" &&
+        grep -q 'core="b"' <<<"$metrics" &&
+        grep -q 'core="c"' <<<"$metrics" &&
+        grep -q '^cluster_members_up 3$' <<<"$metrics"; then
         break
     fi
     sleep 0.5
 done
-echo "$metrics" | grep -q '^# TYPE ' || {
+grep -q '^# TYPE ' <<<"$metrics" || {
     echo "obs-cluster-smoke: /cluster/metrics has no TYPE lines" >&2; exit 1; }
-echo "$metrics" | grep -Eq '^[a-zA-Z_:][a-zA-Z0-9_:]*(\{.*\})? (NaN|[-+]?Inf|[0-9])' || {
+grep -Eq '^[a-zA-Z_:][a-zA-Z0-9_:]*(\{.*\})? (NaN|[-+]?Inf|[0-9])' <<<"$metrics" || {
     echo "obs-cluster-smoke: /cluster/metrics has no samples" >&2; exit 1; }
 for core in a b c; do
-    echo "$metrics" | grep -q "core=\"$core\"" || {
+    grep -q "core=\"$core\"" <<<"$metrics" || {
         echo "obs-cluster-smoke: no per-core series for $core in /cluster/metrics" >&2; exit 1; }
 done
-echo "$metrics" | grep -q '^cluster_member_up{core="d"} 0$' || {
+grep -q '^cluster_member_up{core="d"} 0$' <<<"$metrics" || {
     echo "obs-cluster-smoke: dead member d not scraped as cluster_member_up 0" >&2
-    echo "$metrics" | grep cluster_member_up >&2 || true
+    grep cluster_member_up <<<"$metrics" >&2 || true
     exit 1
 }
 # Dynamic membership counts every core ever seen: a, b, c, dead d, and the
 # transient shell once it has connected. The live count must settle at 3.
-echo "$metrics" | grep -Eq '^cluster_members [45]$' || {
+grep -Eq '^cluster_members [45]$' <<<"$metrics" || {
     echo "obs-cluster-smoke: cluster_members gauge wrong:" >&2
-    echo "$metrics" | grep '^cluster_members' >&2 || true
+    grep '^cluster_members' <<<"$metrics" >&2 || true
     exit 1
 }
-echo "$metrics" | grep -q '^cluster_members_up 3$' || {
+grep -q '^cluster_members_up 3$' <<<"$metrics" || {
     echo "obs-cluster-smoke: cluster_members_up gauge wrong:" >&2
-    echo "$metrics" | grep '^cluster_members' >&2 || true
+    grep '^cluster_members' <<<"$metrics" >&2 || true
     exit 1
 }
-echo "$metrics" | grep -q '^cluster_invoke_' || {
+grep -q '^cluster_invoke_' <<<"$metrics" || {
     echo "obs-cluster-smoke: no merged cluster_ invocation family" >&2; exit 1; }
 echo "obs-cluster-smoke: /cluster/metrics ok (exposition + per-core labels + dead member flagged)"
 
 # --- partial-view status -----------------------------------------------------
 status_body=$(fetch /cluster/status)
-echo "$status_body" | grep -q '"partial": true' || {
+grep -q '"partial": true' <<<"$status_body" || {
     echo "obs-cluster-smoke: /cluster/status does not flag the partial view:" >&2
     echo "$status_body" >&2
     exit 1
 }
-echo "$status_body" | grep -q '"d"' || {
+grep -q '"d"' <<<"$status_body" || {
     echo "obs-cluster-smoke: /cluster/status does not list d unreachable" >&2; exit 1; }
 echo "obs-cluster-smoke: /cluster/status ok (partial view, d unreachable)"
 
@@ -202,8 +202,8 @@ stitched=""
 for _ in $(seq 1 30); do
     for id in $(fetch /cluster/traces | sed -n 's/.*"id": "\([0-9a-f]\{16\}\)".*/\1/p' | sort -u); do
         body=$(fetch "/cluster/trace/$id")
-        if echo "$body" | grep -q 'across a, b, c' &&
-            echo "$body" | grep -q 'serve invoke Print'; then
+        if grep -q 'across a, b, c' <<<"$body" &&
+            grep -q 'serve invoke Print' <<<"$body"; then
             stitched=$id
             break 2
         fi
@@ -239,7 +239,7 @@ grep -q '^event: timeline$' "$workdir/sse.log" || {
 echo "obs-cluster-smoke: planApplied delivered over SSE"
 
 # --- the self-contained page -------------------------------------------------
-fetch /cluster/ | grep -q 'EventSource' || {
+grep -q 'EventSource' <<<"$(fetch /cluster/)" || {
     echo "obs-cluster-smoke: /cluster/ page is not the live HTML view" >&2; exit 1; }
 
 # --- burn-rate alert fires and resolves (ALERTS=1) ---------------------------
@@ -282,7 +282,7 @@ if [ "${ALERTS:-0}" = "1" ]; then
     fi
     echo "obs-cluster-smoke: burn-rate alert resolved after recovery"
 
-    fetch /cluster/alerts | grep -q 'slow-invokes' || {
+    grep -q 'slow-invokes' <<<"$(fetch /cluster/alerts)" || {
         echo "obs-cluster-smoke: /cluster/alerts summary does not record the rule" >&2; exit 1; }
     echo "obs-cluster-smoke: /cluster/alerts ok (fired + resolved + summary)"
 fi

@@ -69,22 +69,22 @@ probe /flight
 # at least one sample, health must carry the liveness verdict, flight must be
 # a JSON object with an events array.
 body=$(curl -sS "$base/metrics")
-echo "$body" | grep -q '^# TYPE ' || { echo "ops-smoke: /metrics has no TYPE lines" >&2; exit 1; }
-echo "$body" | grep -Eq '^[a-zA-Z_:][a-zA-Z0-9_:]*(\{.*\})? [0-9]' || {
+grep -q '^# TYPE ' <<<"$body" || { echo "ops-smoke: /metrics has no TYPE lines" >&2; exit 1; }
+grep -Eq '^[a-zA-Z_:][a-zA-Z0-9_:]*(\{.*\})? [0-9]' <<<"$body" || {
     echo "ops-smoke: /metrics has no samples" >&2; exit 1; }
-curl -sS "$base/healthz" | grep -q '"live": true' || {
+grep -q '"live": true' <<<"$(curl -sS "$base/healthz")" || {
     echo "ops-smoke: /healthz does not report live" >&2; exit 1; }
-curl -sS "$base/flight" | grep -q '"events"' || {
+grep -q '"events"' <<<"$(curl -sS "$base/flight")" || {
     echo "ops-smoke: /flight has no events field" >&2; exit 1; }
 
 # The move journal must be attached (we started with -journal), with no moves
 # stuck pending — a fresh core with unresolved journaled moves would not be
 # safe to drive.
 health=$(curl -sS "$base/healthz")
-echo "$health" | grep -q '"journal_enabled": true' || {
+grep -q '"journal_enabled": true' <<<"$health" || {
     echo "ops-smoke: /healthz does not report the move journal enabled" >&2
     echo "$health" >&2; exit 1; }
-echo "$health" | grep -q '"pending_moves": 0' || {
+grep -q '"pending_moves": 0' <<<"$health" || {
     echo "ops-smoke: /healthz reports journaled moves stuck pending" >&2
     echo "$health" >&2; exit 1; }
 [ -f "$workdir/smoke.journal" ] || {
