@@ -58,7 +58,7 @@ func (c *Core) capacityFree() int {
 	if c.capacity <= 0 {
 		return uncappedSentinel
 	}
-	free := c.capacity - len(c.complets)
+	free := c.capacity - c.nHosted
 	if free < 0 {
 		free = 0
 	}
@@ -72,8 +72,8 @@ func (c *Core) admit(n int) error {
 	if c.capacity <= 0 {
 		return nil
 	}
-	if len(c.complets)+n > c.capacity {
-		return fmt.Errorf("%w: %d/%d used, %d arriving", ErrAtCapacity, len(c.complets), c.capacity, n)
+	if c.nHosted+n > c.capacity {
+		return fmt.Errorf("%w: %d/%d used, %d arriving", ErrAtCapacity, c.nHosted, c.capacity, n)
 	}
 	return nil
 }

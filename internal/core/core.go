@@ -10,6 +10,7 @@ import (
 	"errors"
 	"fmt"
 	"log"
+	"reflect"
 	"sort"
 	"sync"
 	"time"
@@ -37,9 +38,6 @@ var (
 	ErrTrackingLoop = errors.New("core: tracking loop or chain too long")
 )
 
-// maxHops bounds tracker-chain traversal.
-const maxHops = 64
-
 // defaultRequestTimeout bounds inter-core requests issued on behalf of
 // application calls.
 const defaultRequestTimeout = 30 * time.Second
@@ -49,61 +47,17 @@ type complet struct {
 	id       ids.CompletID
 	typeName string
 	anchor   any
+	// t is the complet's tracker on this core; the entry is live while
+	// t's record holds it (see live).
+	t *tracker
 	// moveMu orders invocation against movement: invocations hold R for
 	// their whole execution, movement holds W. An invocation therefore
-	// never observes a half-moved complet.
+	// never observes a half-moved complet; one that blocked on moveMu
+	// finds the entry no longer live and re-routes through the tracker.
 	moveMu sync.RWMutex
-	// gone is set (under W) once the complet has moved away; readers that
-	// were blocked on moveMu re-route through the tracker.
-	gone bool
 	// meters is the complet's invocation accounting (meters.go); it travels
 	// in the movement bundle and is released with the entry.
 	meters meters
-}
-
-// tracker is the per-core tracking record for one complet (§3.1). At most one
-// tracker per complet exists per core, no matter how many references point to
-// it — the scalability property of the stub/tracker split.
-type tracker struct {
-	mu    sync.Mutex
-	local bool
-	next  ids.CoreID // valid when !local
-}
-
-func (t *tracker) point() (local bool, next ids.CoreID) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.local, t.next
-}
-
-func (t *tracker) setLocal() {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.local, t.next = true, ""
-}
-
-func (t *tracker) setForward(next ids.CoreID) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.local, t.next = false, next
-}
-
-// shorten repoints a forwarding tracker at loc (chain shortening, §3.1). It
-// deliberately never downgrades a local tracker: "local" is authoritative
-// repository state (set by install, cleared only by remove), while shorten
-// carries possibly stale information from an invocation reply — overwriting
-// local state with it can weave a cycle between two cores that are moving a
-// complet back and forth.
-func (t *tracker) shorten(loc, self ids.CoreID) {
-	if loc == self {
-		return
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.local {
-		return
-	}
-	t.next = loc
 }
 
 // Options configures a Core.
@@ -192,10 +146,12 @@ type Core struct {
 	mint *ids.CompletIDs
 	opts Options
 
-	mu       sync.Mutex
-	complets map[ids.CompletID]*complet
+	mu sync.Mutex
+	// trackers is the tracker table and, through the entries its records
+	// hold, the repository (tracker.go); nHosted counts those entries.
 	trackers map[ids.CompletID]*tracker
-	byAnchor map[any]ids.CompletID
+	nHosted  int
+	byAnchor map[any]*complet
 	names    map[string]*ref.Ref
 	peers    map[ids.CoreID]struct{} // cores seen on the wire
 	closed   bool
@@ -325,9 +281,8 @@ func New(tr transport.Transport, reg *registry.Registry, opts Options) (*Core, e
 		reg:      reg,
 		mint:     ids.NewCompletIDs(tr.Self()),
 		opts:     opts,
-		complets: make(map[ids.CompletID]*complet),
 		trackers: make(map[ids.CompletID]*tracker),
-		byAnchor: make(map[any]ids.CompletID),
+		byAnchor: make(map[any]*complet),
 		names:    make(map[string]*ref.Ref),
 		peers:    make(map[ids.CoreID]struct{}),
 		breakers: make(map[ids.CoreID]*breaker),
@@ -491,10 +446,10 @@ type CoreAware interface {
 
 // --- repository ------------------------------------------------------------
 
-// install registers a complet hosted by this core and marks its tracker
-// local. A complet arriving in a movement bundle (live or re-installed from
-// the journal) passes that bundle, whose accounting seeds its meters before
-// the entry becomes visible.
+// install registers a complet hosted by this core: its tracker's record
+// becomes the new entry. A complet arriving in a movement bundle (live or
+// re-installed from the journal) passes that bundle, whose accounting seeds
+// its meters before the entry becomes visible.
 func (c *Core) install(id ids.CompletID, typeName string, anchor any, bundle *wire.MoveRequest) *complet {
 	if ca, ok := anchor.(CoreAware); ok {
 		ca.SetCore(c)
@@ -506,129 +461,73 @@ func (c *Core) install(id ids.CompletID, typeName string, anchor any, bundle *wi
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	c.complets[id] = entry
-	c.byAnchor[anchor] = id
-	t, ok := c.trackers[id]
-	if !ok {
-		t = &tracker{}
-		c.trackers[id] = t
+	entry.t = c.trackerLocked(id, "")
+	if old := entry.t.rec.Load().entry; old != nil {
+		delete(c.byAnchor, old.anchor)
+	} else {
+		c.nHosted++
 	}
-	t.setLocal()
+	c.byAnchor[anchor] = entry
+	entry.t.rec.Store(&location{entry: entry})
 	return entry
 }
 
 // lookup returns the repository entry for a locally hosted complet.
 func (c *Core) lookup(id ids.CompletID) (*complet, bool) {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	entry, ok := c.complets[id]
-	return entry, ok
+	t := c.trackers[id]
+	c.mu.Unlock()
+	if t == nil {
+		return nil, false
+	}
+	entry := t.rec.Load().entry
+	return entry, entry != nil
 }
 
 // remove unregisters a complet after it moved away, pointing its tracker at
 // the destination and releasing its meters. It is the one place a complet
-// leaves a core; callers hold the complet's W-lock.
-func (c *Core) remove(id ids.CompletID, movedTo ids.CoreID) {
+// leaves a core; callers hold the live entry's W-lock, so a reader blocked on
+// it wakes to a tracker that already forwards.
+func (c *Core) remove(entry *complet, movedTo ids.CoreID) {
 	c.mu.Lock()
-	entry, hosted := c.complets[id]
-	if hosted {
-		delete(c.byAnchor, entry.anchor)
-		delete(c.complets, id)
-	}
-	t, ok := c.trackers[id]
-	if !ok {
-		t = &tracker{}
-		c.trackers[id] = t
-	}
-	t.setForward(movedTo)
+	delete(c.byAnchor, entry.anchor)
+	c.nHosted--
+	entry.t.rec.Store(&location{next: movedTo})
 	c.mu.Unlock()
-	if hosted {
-		c.releaseMeters(entry)
-	}
+	c.releaseMeters(entry)
 }
 
 // hosted snapshots the repository entries.
 func (c *Core) hosted() []*complet {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make([]*complet, 0, len(c.complets))
-	for _, e := range c.complets {
-		out = append(out, e)
+	return c.hostedLocked()
+}
+
+// hostedLocked is hosted for callers holding c.mu.
+func (c *Core) hostedLocked() []*complet {
+	out := make([]*complet, 0, c.nHosted)
+	for _, t := range c.trackers {
+		if entry := t.rec.Load().entry; entry != nil {
+			out = append(out, entry)
+		}
 	}
 	return out
 }
 
-// trackerFor returns the core's tracker for the complet, creating one that
-// points at hint when absent. There is at most one tracker per complet per
-// core (§3.1).
-func (c *Core) trackerFor(id ids.CompletID, hint ids.CoreID) *tracker {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	t, ok := c.trackers[id]
-	if !ok {
-		t = &tracker{}
-		if hint == c.id || hint.Nil() {
-			// No better information: fall back to the birth core,
-			// which keeps a tracker for every complet born there.
-			t.setForward(id.Birth)
-		} else {
-			t.setForward(hint)
-		}
-		c.trackers[id] = t
+// refOfAnchor returns a reference to the hosted complet whose anchor v is.
+// Only pointers can be anchors; references and other values are not.
+func (c *Core) refOfAnchor(v any) (*ref.Ref, bool) {
+	if _, isRef := v.(*ref.Ref); isRef || v == nil || reflect.TypeOf(v).Kind() != reflect.Pointer {
+		return nil, false
 	}
-	return t
-}
-
-// TrackerCount returns the number of trackers in this core (test and
-// experiment support: verifies tracker sharing per target).
-func (c *Core) TrackerCount() int {
 	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.trackers)
-}
-
-// TrackerTarget reports where this core's tracker for the complet points:
-// this core itself (local) or the next core in the chain.
-func (c *Core) TrackerTarget(id ids.CompletID) (ids.CoreID, bool) {
-	c.mu.Lock()
-	t, ok := c.trackers[id]
+	entry, ok := c.byAnchor[v]
 	c.mu.Unlock()
 	if !ok {
-		return "", false
+		return nil, false
 	}
-	local, next := t.point()
-	if local {
-		return c.id, true
-	}
-	return next, true
-}
-
-// TrackerInfo describes one entry of the core's tracker table for layout
-// introspection (the ops plane's /layout endpoint): where this core would
-// route a request for the complet next.
-type TrackerInfo struct {
-	Complet ids.CompletID
-	// Local is true when the complet is hosted here; Next is the chain's
-	// next hop otherwise.
-	Local bool
-	Next  ids.CoreID
-}
-
-// Trackers lists the core's tracker table, sorted by complet ID.
-func (c *Core) Trackers() []TrackerInfo {
-	c.mu.Lock()
-	out := make([]TrackerInfo, 0, len(c.trackers))
-	for id, t := range c.trackers {
-		local, next := t.point()
-		ti := TrackerInfo{Complet: id, Local: local}
-		if !local {
-			ti.Next = next
-		}
-		out = append(out, ti)
-	}
-	c.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].Complet.String() < out[j].Complet.String() })
-	return out
+	return ref.New(entry.id, entry.typeName, c.id, c.binder()), true
 }
 
 // CompletCount returns the number of complets hosted by this core (the
@@ -636,18 +535,18 @@ func (c *Core) Trackers() []TrackerInfo {
 func (c *Core) CompletCount() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	return len(c.complets)
+	return c.nHosted
 }
 
 // Complets lists the complets hosted by this core.
 func (c *Core) Complets() []wire.CompletInfo {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	out := make([]wire.CompletInfo, 0, len(c.complets))
-	for id, entry := range c.complets {
-		info := wire.CompletInfo{ID: id, TypeName: entry.typeName}
+	out := make([]wire.CompletInfo, 0, c.nHosted)
+	for _, entry := range c.hostedLocked() {
+		info := wire.CompletInfo{ID: entry.id, TypeName: entry.typeName}
 		for name, r := range c.names {
-			if r.Target() == id {
+			if r.Target() == entry.id {
 				info.Names = append(info.Names, name)
 			}
 		}
@@ -721,19 +620,10 @@ func (c *Core) NewCompletAtCtx(ctx context.Context, dest ids.CoreID, typeName st
 // Complets use it to refer to themselves — e.g. to pass themselves to Move
 // (§3.3: "a complet can move itself simply by passing its anchor").
 func (c *Core) RefOf(anchor any) (*ref.Ref, error) {
-	c.mu.Lock()
-	id, ok := c.byAnchor[anchor]
-	var typeName string
-	if ok {
-		if entry, have := c.complets[id]; have {
-			typeName = entry.typeName
-		}
+	if r, ok := c.refOfAnchor(anchor); ok {
+		return r, nil
 	}
-	c.mu.Unlock()
-	if !ok {
-		return nil, fmt.Errorf("core: %w: anchor %T not hosted here", ErrUnknownComplet, anchor)
-	}
-	return ref.New(id, typeName, c.id, c.binder()), nil
+	return nil, fmt.Errorf("core: %w: anchor %T not hosted here", ErrUnknownComplet, anchor)
 }
 
 // NewRefTo constructs a bound reference to a complet from its identity and a
@@ -761,7 +651,7 @@ func (c *Core) LocateCompletCtx(ctx context.Context, id ids.CompletID, opts ...r
 	o := ref.BuildCallOptions(opts)
 	ctx, cancel := c.withBudget(ctx, o.Timeout)
 	defer cancel()
-	loc, err := c.locate(ctx, id, "", o)
+	loc, err := c.locate(ctx, id, "", 0, o)
 	if err != nil {
 		return "", invokeErr(fmt.Sprintf("locate %s", id), id, "", err)
 	}

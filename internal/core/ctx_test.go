@@ -7,6 +7,7 @@ import (
 	"testing"
 	"time"
 
+	"fargo/internal/ids"
 	"fargo/internal/netsim"
 	"fargo/internal/ref"
 )
@@ -327,7 +328,7 @@ func TestRemoteMethodErrorIsCauseRemote(t *testing.T) {
 // --- hop budget ---------------------------------------------------------------
 
 func TestHopBudgetTripEmitsEvent(t *testing.T) {
-	cl := newCluster(t, "a")
+	cl := newCluster(t, "a", "b")
 	a := cl.core("a")
 	fired := make(chan Event, 1)
 	token, err := a.Monitor().SubscribeBuiltin(EventHopBudgetExceeded, func(ev Event) {
@@ -367,6 +368,51 @@ func TestHopBudgetTripEmitsEvent(t *testing.T) {
 		}
 	case <-time.After(2 * time.Second):
 		t.Fatal("hop budget event not delivered")
+	}
+
+	// A real tracker cycle: a's tracker for a complet that exists nowhere
+	// points at b, and b, knowing nothing of it, falls back to the birth
+	// core a. Every routed operation walks the cycle into the hop budget.
+	ghost := ids.CompletID{Birth: "a", Seq: 1 << 40}
+	gr := a.NewRefTo(ghost, "Msg", "b")
+	// Room for one event per operation plus strays, so no delivery blocks.
+	tripped := make(chan Event, 8)
+	for _, c := range cl.cores {
+		token, err := c.Monitor().SubscribeBuiltin(EventHopBudgetExceeded, func(ev Event) {
+			select {
+			case tripped <- ev:
+			default:
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Monitor().Unsubscribe(token)
+	}
+	ctx := context.Background()
+	for _, op := range []struct {
+		name string
+		run  func() error
+	}{
+		{"invoke", func() error { _, err := gr.InvokeCtx(ctx, "Print"); return err }},
+		{"locate", func() error { _, err := a.LocateComplet(ghost); return err }},
+		{"move", func() error { return a.MoveByID(ghost, "b") }},
+		{"clone", func() error { _, err := a.cloneCommand(ctx, ghost, "b", 0, ref.CallOptions{}); return err }},
+	} {
+		if err := op.run(); !errors.Is(err, ErrTooManyHops) {
+			t.Fatalf("%s around a tracker cycle: err = %v, want ErrTooManyHops", op.name, err)
+		}
+		select {
+		case ev := <-tripped:
+			if ev.Complet != ghost {
+				t.Fatalf("%s: hop budget event for %v, want %v", op.name, ev.Complet, ghost)
+			}
+		case <-time.After(2 * time.Second):
+			t.Fatalf("%s: hop budget event not delivered", op.name)
+		}
+	}
+	if n := len(tripped); n != 0 {
+		t.Fatalf("%d extra hop budget events: each operation trips once", n)
 	}
 }
 

@@ -4,13 +4,14 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"strings"
 
 	"fargo/internal/flight"
 	"fargo/internal/ids"
 	"fargo/internal/transport"
 )
 
-// ErrTooManyHops is returned when an invocation, locate, or move command
+// ErrTooManyHops is returned when an invocation, locate, move or clone command
 // exhausts the tracker-chain hop budget. It wraps ErrTrackingLoop, so
 // errors.Is(err, ErrTrackingLoop) continues to hold for callers that predate
 // the typed error.
@@ -119,6 +120,25 @@ type peerError struct {
 }
 
 func (e *peerError) Error() string { return e.msg }
+
+// Unwrap resurfaces the runtime sentinel behind a peer's verdict, so
+// errors.Is(err, ErrTooManyHops) and errors.Is(err, ErrMoveInFlight) hold for
+// routed operations as they do locally. A shipped cause is the peer's own
+// classification and wins; a reply without one (locate, move, clone) is
+// matched on the sentinel's text.
+func (e *peerError) Unwrap() error {
+	switch {
+	case e.cause == CauseTooManyHops:
+		return ErrTooManyHops
+	case e.cause != CauseUnknown:
+		return nil
+	case strings.Contains(e.msg, ErrTooManyHops.Error()):
+		return ErrTooManyHops
+	case strings.Contains(e.msg, ErrMoveInFlight.Error()):
+		return ErrMoveInFlight
+	}
+	return nil
+}
 
 // classifyCause maps an underlying error to its Cause.
 func classifyCause(err error) Cause {

@@ -124,7 +124,11 @@ func (c *Core) InvokeViaHomeCtx(ctx context.Context, target ids.CompletID, metho
 	}
 	var resBytes []byte
 	if loc == c.id {
-		resBytes, err = c.invokeLocal(ctx, target, method, argBytes)
+		entry, hosted := c.lookup(target)
+		if !hosted {
+			return nil, errStaleLocal
+		}
+		resBytes, err = c.invokeLocalFrom(ctx, entry, ids.CompletID{}, method, argBytes)
 	} else {
 		resBytes, _, err = c.forwardInvoke(ctx, loc, target, ids.CompletID{}, method, argBytes, 0, ref.CallOptions{})
 	}

@@ -3,7 +3,6 @@ package core
 import (
 	"context"
 	"fmt"
-	"reflect"
 	"strconv"
 	"time"
 
@@ -34,7 +33,7 @@ func (b binderImpl) InvokeRef(ctx context.Context, r *ref.Ref, method string, ar
 func (b binderImpl) Locate(ctx context.Context, r *ref.Ref) (ids.CoreID, error) {
 	ctx, cancel := b.c.withBudget(ctx, 0)
 	defer cancel()
-	loc, err := b.c.locate(ctx, r.Target(), r.Hint(), ref.CallOptions{})
+	loc, err := b.c.locate(ctx, r.Target(), r.Hint(), 0, ref.CallOptions{})
 	if err == nil {
 		r.SetHint(loc)
 		return loc, nil
@@ -85,7 +84,7 @@ func (c *Core) invokeRef(ctx context.Context, r *ref.Ref, method string, args []
 		c.met.invokeErrs.Inc()
 		return nil, err
 	}
-	resBytes, loc, err := c.routeInvoke(ctx, target, r.Hint(), r.Owner(), method, argBytes, 0, opts)
+	resBytes, loc, err := c.deliverInvoke(ctx, target, r.Hint(), r.Owner(), method, argBytes, 0, opts)
 	if err != nil {
 		err = invokeErr(op, target, "", err)
 		sp.SetError(err)
@@ -110,56 +109,17 @@ func (c *Core) invokeRef(ctx context.Context, r *ref.Ref, method string, args []
 	return results, nil
 }
 
-// routeInvoke delivers an encoded invocation to the complet, executing
-// locally or forwarding along the tracker chain. It returns the encoded
-// results and the authoritative location of the target.
-func (c *Core) routeInvoke(ctx context.Context, target ids.CompletID, hint ids.CoreID, source ids.CompletID, method string, argBytes []byte, hops int, opts ref.CallOptions) ([]byte, ids.CoreID, error) {
-	repaired := false
-	for attempt := 0; ; attempt++ {
-		if err := ctx.Err(); err != nil {
-			return nil, "", fmt.Errorf("core: invoking %s.%s: %w", target, method, err)
-		}
-		if hops+attempt > maxHops {
-			return nil, "", c.tripHopBudget(fmt.Sprintf("invoke %s.%s", target, method), target)
-		}
-		t := c.trackerFor(target, hint)
-		local, next := t.point()
-		if local {
-			resBytes, err := c.invokeLocalFrom(ctx, target, source, method, argBytes)
-			if err == errStaleLocal {
-				// The complet moved between the tracker read and
-				// the repository access; retry via the tracker.
-				c.met.invokeStale.Inc()
-				continue
-			}
-			return resBytes, c.id, err
-		}
-		if next == c.id {
-			// A tracker must never point at its own core; treat as
-			// unknown to avoid a self-loop.
-			return nil, "", fmt.Errorf("%w: %s (self-referential tracker)", ErrUnknownComplet, target)
-		}
-		resBytes, loc, err := c.forwardInvoke(ctx, next, target, source, method, argBytes, hops+attempt+1, opts)
-		if err != nil {
-			// Self-healing (repair.go): an unreachable next hop may just
-			// be a dead link in a stale chain. Re-resolve through the
-			// target's home core and retry once through the fresh
-			// location; on repair failure the original error stands.
-			if !repaired && repairable(err) {
-				if _, ok := c.repairChain(ctx, target, next, fmt.Sprintf("invoke %s.%s", target, method)); ok {
-					repaired = true
-					continue
-				}
-			}
-			return nil, "", err
-		}
-		// Chain shortening (§3.1): point our tracker straight at the
-		// core that actually executed the invocation. The tracker
-		// refuses updates that conflict with authoritative local state
-		// (see tracker.shorten).
-		t.shorten(loc, c.id)
-		return resBytes, loc, nil
-	}
+// deliverInvoke delivers an encoded invocation to the complet, executing it
+// here or forwarding it along the tracker chain (walk). It returns the
+// encoded results and the authoritative location of the target.
+func (c *Core) deliverInvoke(ctx context.Context, target ids.CompletID, hint ids.CoreID, source ids.CompletID, method string, argBytes []byte, hops int, opts ref.CallOptions) ([]byte, ids.CoreID, error) {
+	return walk(ctx, c, target, hint, hops, "invoke", method,
+		func(entry *complet) ([]byte, error) {
+			return c.invokeLocalFrom(ctx, entry, source, method, argBytes)
+		},
+		func(next ids.CoreID, hops int) ([]byte, ids.CoreID, error) {
+			return c.forwardInvoke(ctx, next, target, source, method, argBytes, hops, opts)
+		})
 }
 
 // anchorsToRefs replaces top-level arguments that are locally hosted anchors
@@ -169,31 +129,15 @@ func (c *Core) anchorsToRefs(args []any) []any {
 	out := args
 	copied := false
 	for i, arg := range args {
-		if arg == nil {
+		r, isAnchor := c.refOfAnchor(arg)
+		if !isAnchor {
 			continue
 		}
-		if _, isRef := arg.(*ref.Ref); isRef {
-			continue
+		if !copied {
+			out = append([]any(nil), args...)
+			copied = true
 		}
-		if rv := reflect.ValueOf(arg); rv.Kind() != reflect.Pointer {
-			continue
-		}
-		c.mu.Lock()
-		id, isAnchor := c.byAnchor[arg]
-		var typeName string
-		if isAnchor {
-			if e, ok := c.complets[id]; ok {
-				typeName = e.typeName
-			}
-		}
-		c.mu.Unlock()
-		if isAnchor {
-			if !copied {
-				out = append([]any(nil), args...)
-				copied = true
-			}
-			out[i] = ref.New(id, typeName, c.id, c.binder())
-		}
+		out[i] = r
 	}
 	return out
 }
@@ -202,23 +146,15 @@ func (c *Core) anchorsToRefs(args []any) []any {
 // already moved on; the caller retries through the updated tracker.
 var errStaleLocal = fmt.Errorf("core: complet moved during dispatch")
 
-// invokeLocal executes an invocation with no particular source complet.
-func (c *Core) invokeLocal(ctx context.Context, target ids.CompletID, method string, argBytes []byte) ([]byte, error) {
-	return c.invokeLocalFrom(ctx, target, ids.CompletID{}, method, argBytes)
-}
-
-// invokeLocalFrom executes an invocation on a complet hosted by this core.
-// The argument bytes are decoded here, which realizes by-value passing for
-// both remote and co-located callers. The context only feeds tracing (the
-// "exec" span of a traced operation); execution itself is not interruptible.
-func (c *Core) invokeLocalFrom(ctx context.Context, target, source ids.CompletID, method string, argBytes []byte) ([]byte, error) {
-	entry, ok := c.lookup(target)
-	if !ok {
-		return nil, errStaleLocal
-	}
+// invokeLocalFrom executes an invocation on a complet hosted by this core,
+// or reports errStaleLocal when the entry moved away first. The argument
+// bytes are decoded here, which realizes by-value passing for both remote and
+// co-located callers. The context only feeds tracing (the "exec" span of a
+// traced operation); execution itself is not interruptible.
+func (c *Core) invokeLocalFrom(ctx context.Context, entry *complet, source ids.CompletID, method string, argBytes []byte) ([]byte, error) {
 	entry.moveMu.RLock()
 	defer entry.moveMu.RUnlock()
-	if entry.gone {
+	if !entry.live() {
 		return nil, errStaleLocal
 	}
 
@@ -260,26 +196,8 @@ func (c *Core) invokeLocalFrom(ctx context.Context, target, source ids.CompletID
 	// Replace returned local anchors with references (complets are passed
 	// by reference, §2). Only pointer results can be anchors.
 	for i, res := range results {
-		if res == nil {
-			continue
-		}
-		if _, isRef := res.(*ref.Ref); isRef {
-			continue
-		}
-		if rv := reflect.ValueOf(res); rv.Kind() != reflect.Pointer {
-			continue
-		}
-		c.mu.Lock()
-		id, isAnchor := c.byAnchor[res]
-		var typeName string
-		if isAnchor {
-			if e, ok := c.complets[id]; ok {
-				typeName = e.typeName
-			}
-		}
-		c.mu.Unlock()
-		if isAnchor {
-			results[i] = ref.New(id, typeName, c.id, c.binder())
+		if r, isAnchor := c.refOfAnchor(res); isAnchor {
+			results[i] = r
 		}
 	}
 	resBytes, _, err := wire.EncodeArgs(results)
@@ -318,9 +236,6 @@ func (c *Core) forwardInvoke(ctx context.Context, next ids.CoreID, target, sourc
 // request's remaining end-to-end budget, reconstructed by the transport from
 // the envelope's wire deadline.
 func (c *Core) serveInvoke(ctx context.Context, req wire.InvokeRequest) (wire.InvokeReply, error) {
-	if req.Hops > maxHops {
-		return wire.InvokeReply{}, c.tripHopBudget(fmt.Sprintf("invoke %s.%s", req.Target, req.Method), req.Target)
-	}
 	var sp *trace.Span
 	if trace.Sampled(ctx) {
 		ctx2, s := c.tracer.ChildSpan(ctx, "serve invoke "+req.Method)
@@ -330,7 +245,7 @@ func (c *Core) serveInvoke(ctx context.Context, req wire.InvokeRequest) (wire.In
 	}
 	defer sp.Finish()
 	reply := wire.InvokeReply{Hops: req.Hops}
-	resBytes, loc, err := c.routeInvoke(ctx, req.Target, "", req.Source, req.Method, req.Args, req.Hops, ref.CallOptions{})
+	resBytes, loc, err := c.deliverInvoke(ctx, req.Target, "", req.Source, req.Method, req.Args, req.Hops, ref.CallOptions{})
 	if err != nil {
 		sp.SetError(err)
 		reply.Err = err.Error()
@@ -348,44 +263,27 @@ func (c *Core) serveInvoke(ctx context.Context, req wire.InvokeRequest) (wire.In
 
 // locate resolves the current location of a complet, following and
 // shortening tracker chains (used by MetaRef.Location and the movement
-// protocol).
-func (c *Core) locate(ctx context.Context, target ids.CompletID, hint ids.CoreID, opts ref.CallOptions) (ids.CoreID, error) {
-	return c.locateHops(ctx, target, hint, 0, opts)
-}
-
-func (c *Core) locateHops(ctx context.Context, target ids.CompletID, hint ids.CoreID, hops int, opts ref.CallOptions) (ids.CoreID, error) {
-	if err := ctx.Err(); err != nil {
-		return "", fmt.Errorf("core: locating %s: %w", target, err)
-	}
-	if hops > maxHops {
-		return "", c.tripHopBudget(fmt.Sprintf("locate %s", target), target)
-	}
-	t := c.trackerFor(target, hint)
-	local, next := t.point()
-	if local {
-		if _, ok := c.lookup(target); ok {
-			return c.id, nil
-		}
-		return "", fmt.Errorf("%w: %s", ErrUnknownComplet, target)
-	}
-	if next == c.id {
-		return "", fmt.Errorf("%w: %s (self-referential tracker)", ErrUnknownComplet, target)
-	}
-	reply, err := call[wire.LocateRequest, wire.LocateReply](ctx, c, next, wire.KindLocate,
-		wire.LocateRequest{Target: target, Hops: hops + 1}, opts, nil)
-	if err != nil {
-		return "", err
-	}
-	if reply.Err != "" {
-		return "", &peerError{msg: fmt.Sprintf("core: locate %s: %s", target, reply.Err)}
-	}
-	t.shorten(reply.Location, c.id)
-	return reply.Location, nil
+// protocol). hops counts the chain hops the query has already travelled.
+func (c *Core) locate(ctx context.Context, target ids.CompletID, hint ids.CoreID, hops int, opts ref.CallOptions) (ids.CoreID, error) {
+	_, loc, err := walk(ctx, c, target, hint, hops, "locate", "",
+		func(*complet) (struct{}, error) { return struct{}{}, nil },
+		func(next ids.CoreID, hops int) (struct{}, ids.CoreID, error) {
+			reply, err := call[wire.LocateRequest, wire.LocateReply](ctx, c, next, wire.KindLocate,
+				wire.LocateRequest{Target: target, Hops: hops}, opts, nil)
+			if err != nil {
+				return struct{}{}, "", err
+			}
+			if reply.Err != "" {
+				return struct{}{}, "", &peerError{msg: fmt.Sprintf("core: locate %s: %s", target, reply.Err)}
+			}
+			return struct{}{}, reply.Location, nil
+		})
+	return loc, err
 }
 
 // serveLocate serves a location query from a peer.
 func (c *Core) serveLocate(ctx context.Context, req wire.LocateRequest) (wire.LocateReply, error) {
-	loc, err := c.locateHops(ctx, req.Target, "", req.Hops, ref.CallOptions{})
+	loc, err := c.locate(ctx, req.Target, "", req.Hops, ref.CallOptions{})
 	if err != nil {
 		return wire.LocateReply{Err: err.Error()}, nil
 	}

@@ -507,7 +507,7 @@ func (m *Monitor) svcCompletSize(args []string) (float64, error) {
 	}
 	entry.moveMu.RLock()
 	defer entry.moveMu.RUnlock()
-	if entry.gone {
+	if !entry.live() {
 		return 0, fmt.Errorf("monitor: %w: %s", ErrUnknownComplet, args[0])
 	}
 	data, _, err := wire.EncodeArgs([]any{entry.anchor})

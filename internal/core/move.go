@@ -4,7 +4,6 @@ import (
 	"context"
 	"fmt"
 	"strconv"
-	"strings"
 	"time"
 
 	"fargo/internal/flight"
@@ -157,82 +156,37 @@ func (c *Core) MoveByID(target ids.CompletID, dest ids.CoreID) error {
 
 // MoveByIDCtx is MoveByID bounded by the caller's context.
 func (c *Core) MoveByIDCtx(ctx context.Context, target ids.CompletID, dest ids.CoreID, opts ...ref.InvokeOption) error {
-	if c.isClosed() {
-		return ErrClosed
-	}
-	o := ref.BuildCallOptions(opts)
-	ctx, cancel := c.withBudget(ctx, o.Timeout)
-	defer cancel()
-	ctx, sp := c.tracer.StartSpan(ctx, fmt.Sprintf("move %s to %s", target, dest))
-	defer sp.Finish()
-	start := time.Now()
-	if err := c.moveCommand(ctx, target, "", dest, "", nil, 0, o); err != nil {
-		sp.SetError(err)
-		c.met.moveErrs.Inc()
-		return invokeErr(fmt.Sprintf("move %s to %s", target, dest), target, "", err)
-	}
-	c.met.moves.Inc()
-	c.met.moveLatency.Observe(float64(time.Since(start).Nanoseconds()))
-	return nil
+	return c.MoveWithContinuationCtx(ctx, ref.New(target, "", "", c.binder()), dest, "", nil, opts...)
 }
 
 // moveCommand executes the move if the complet is local, or routes the
-// command along the tracker chain to its owner. The context's remaining
-// deadline travels with the routed command, so every chain hop and the final
-// owner-side bundle shipment deduct from the caller's single budget.
+// command along the tracker chain to its owner (walk). The context's
+// remaining deadline travels with the routed command, so every chain hop and
+// the final owner-side bundle shipment deduct from the caller's single
+// budget. A routed move shortens our tracker to dest; shorten refuses it if
+// the complet has already bounced back here.
 func (c *Core) moveCommand(ctx context.Context, target ids.CompletID, hint ids.CoreID, dest ids.CoreID, contMethod string, contArgs []byte, hops int, opts ref.CallOptions) error {
-	repaired := false
-	for attempt := 0; ; attempt++ {
-		if err := ctx.Err(); err != nil {
-			return fmt.Errorf("core: moving %s: %w", target, err)
-		}
-		if hops+attempt > maxHops {
-			return c.tripHopBudget(fmt.Sprintf("move %s", target), target)
-		}
-		t := c.trackerFor(target, hint)
-		local, next := t.point()
-		if local {
-			err := c.moveLocal(ctx, target, dest, contMethod, contArgs, opts)
-			if err == errStaleLocal {
-				continue
+	_, _, err := walk(ctx, c, target, hint, hops, "move", "",
+		func(entry *complet) (struct{}, error) {
+			return struct{}{}, c.moveLocal(ctx, entry, dest, contMethod, contArgs, opts)
+		},
+		func(next ids.CoreID, hops int) (struct{}, ids.CoreID, error) {
+			reply, err := call[wire.MoveCommand, wire.MoveCommandReply](ctx, c, next, wire.KindMoveCmd, wire.MoveCommand{
+				Target:             target,
+				Dest:               dest,
+				ContinuationMethod: contMethod,
+				ContinuationArgs:   contArgs,
+				Hops:               hops,
+			}, opts, nil)
+			if err != nil {
+				return struct{}{}, "", fmt.Errorf("core: route move of %s: %w", target, err)
 			}
-			return err
-		}
-		if next == c.id {
-			return fmt.Errorf("%w: %s (self-referential tracker)", ErrUnknownComplet, target)
-		}
-		reply, err := call[wire.MoveCommand, wire.MoveCommandReply](ctx, c, next, wire.KindMoveCmd, wire.MoveCommand{
-			Target:             target,
-			Dest:               dest,
-			ContinuationMethod: contMethod,
-			ContinuationArgs:   contArgs,
-			Hops:               hops + attempt + 1,
-		}, opts, nil)
-		if err != nil {
-			// Self-healing (repair.go): route around a dead chain hop by
-			// re-resolving through the target's home core, once.
-			if !repaired && repairable(err) {
-				if _, ok := c.repairChain(ctx, target, next, fmt.Sprintf("move %s", target)); ok {
-					repaired = true
-					continue
-				}
+			if reply.Err != "" {
+				return struct{}{}, "", &peerError{msg: fmt.Sprintf("core: move %s: %s", target, reply.Err)}
 			}
-			return fmt.Errorf("core: route move of %s: %w", target, err)
-		}
-		if reply.Err != "" {
-			if strings.Contains(reply.Err, ErrMoveInFlight.Error()) {
-				// Resurface the owner's sentinel across the wire so
-				// errors.Is(err, ErrMoveInFlight) holds for routed moves too.
-				return fmt.Errorf("core: move %s: %w", target, ErrMoveInFlight)
-			}
-			return &peerError{msg: fmt.Sprintf("core: move %s: %s", target, reply.Err)}
-		}
-		// Refresh our tracker toward the destination (shorten refuses
-		// conflicting updates: if the complet has already bounced back
-		// here, the local repository state wins).
-		t.shorten(dest, c.id)
-		return nil
-	}
+			return struct{}{}, dest, nil
+		})
+	return err
 }
 
 // serveMoveCmd serves a routed movement command under the remaining budget
@@ -268,15 +222,12 @@ func (c *Core) serveMoveCmd(ctx context.Context, req wire.MoveCommand) (wire.Mov
 // moved to the same destination with follow-up commands (documented deviation
 // — the single-message property holds for co-located closures, the common
 // case the paper describes).
-func (c *Core) moveLocal(ctx context.Context, rootID ids.CompletID, dest ids.CoreID, contMethod string, contArgs []byte, opts ref.CallOptions) error {
+func (c *Core) moveLocal(ctx context.Context, root *complet, dest ids.CoreID, contMethod string, contArgs []byte, opts ref.CallOptions) error {
+	rootID := root.id
 	if dest == c.id {
 		// Already here; run the continuation (if any) for uniformity.
-		entry, ok := c.lookup(rootID)
-		if !ok {
-			return errStaleLocal
-		}
 		if contMethod != "" {
-			c.runContinuation(entry, contMethod, contArgs)
+			c.runContinuation(root, contMethod, contArgs)
 		}
 		return nil
 	}
@@ -351,7 +302,7 @@ func (c *Core) moveLocal(ctx context.Context, rootID ids.CompletID, dest ids.Cor
 			continue
 		}
 		entry.moveMu.Lock()
-		if entry.gone {
+		if !entry.live() {
 			entry.moveMu.Unlock()
 			if id == rootID {
 				unlock()
@@ -539,7 +490,7 @@ func (c *Core) moveLocal(ctx context.Context, rootID ids.CompletID, dest ids.Cor
 		return fail(errSimulatedCrash)
 	}
 
-	// Success: flip trackers, mark entries gone, fire callbacks/events.
+	// Success: flip trackers, fire callbacks/events.
 	c.flight.Record(flight.Event{
 		Kind:          flight.KindMove,
 		Complet:       rootID.String(),
@@ -548,14 +499,13 @@ func (c *Core) moveLocal(ctx context.Context, rootID ids.CompletID, dest ids.Cor
 		DurationNanos: time.Since(protoStart).Nanoseconds(),
 		Detail:        fmt.Sprintf("%d complet(s)", len(entries)),
 	})
-	// "Gone" and "tracker forwards to dest" are one transition under the
-	// W-lock: an invocation that blocked on moveMu wakes to a tracker that
-	// already points away, so it retries once instead of spinning on a
-	// stale "local" until the hop budget runs out. remove also releases the
-	// departed meters, which now live at the destination.
+	// The tracker flips to dest under the W-lock, and that flip is what
+	// ends the entry's liveness: an invocation that blocked on moveMu wakes
+	// to a tracker that already points away, so it retries once instead of
+	// spinning on a stale "local" until the hop budget runs out. remove also
+	// releases the departed meters, which now live at the destination.
 	for _, e := range locked {
-		e.gone = true
-		c.remove(e.id, dest)
+		c.remove(e, dest)
 	}
 	unlock()
 	for _, e := range locked {
@@ -580,53 +530,38 @@ func (c *Core) moveLocal(ctx context.Context, rootID ids.CompletID, dest ids.Cor
 func (c *Core) encodeDuplicate(entry *complet) ([]byte, error) {
 	entry.moveMu.RLock()
 	defer entry.moveMu.RUnlock()
-	if entry.gone {
+	if !entry.live() {
 		return nil, errStaleLocal
 	}
 	data, _, err := wire.EncodeArgs([]any{entry.anchor})
 	return data, err
 }
 
-// cloneCommand asks the owner of target to install a copy at dest.
+// cloneCommand asks the owner of target to install a copy at dest, routing
+// the command along the tracker chain (walk).
 func (c *Core) cloneCommand(ctx context.Context, target ids.CompletID, dest ids.CoreID, hops int, opts ref.CallOptions) (ids.CompletID, error) {
-	for attempt := 0; ; attempt++ {
-		if err := ctx.Err(); err != nil {
-			return ids.CompletID{}, fmt.Errorf("core: cloning %s: %w", target, err)
-		}
-		if hops+attempt > maxHops {
-			return ids.CompletID{}, c.tripHopBudget(fmt.Sprintf("clone %s", target), target)
-		}
-		t := c.trackerFor(target, "")
-		local, next := t.point()
-		if local {
-			newID, err := c.cloneLocal(ctx, target, dest, opts)
-			if err == errStaleLocal {
-				continue
+	newID, _, err := walk(ctx, c, target, "", hops, "clone", "",
+		func(entry *complet) (ids.CompletID, error) {
+			return c.cloneLocal(ctx, entry, dest, opts)
+		},
+		func(next ids.CoreID, hops int) (ids.CompletID, ids.CoreID, error) {
+			reply, err := call[wire.CloneCommand, wire.CloneCommandReply](ctx, c, next, wire.KindClone,
+				wire.CloneCommand{Target: target, Dest: dest, Hops: hops}, opts, nil)
+			if err != nil {
+				return ids.CompletID{}, "", fmt.Errorf("core: route clone of %s: %w", target, err)
 			}
-			return newID, err
-		}
-		if next == c.id {
-			return ids.CompletID{}, fmt.Errorf("%w: %s (self-referential tracker)", ErrUnknownComplet, target)
-		}
-		reply, err := call[wire.CloneCommand, wire.CloneCommandReply](ctx, c, next, wire.KindClone,
-			wire.CloneCommand{Target: target, Dest: dest, Hops: hops + attempt + 1}, opts, nil)
-		if err != nil {
-			return ids.CompletID{}, fmt.Errorf("core: route clone of %s: %w", target, err)
-		}
-		if reply.Err != "" {
-			return ids.CompletID{}, &peerError{msg: fmt.Sprintf("core: clone %s: %s", target, reply.Err)}
-		}
-		return reply.NewID, nil
-	}
+			if reply.Err != "" {
+				return ids.CompletID{}, "", &peerError{msg: fmt.Sprintf("core: clone %s: %s", target, reply.Err)}
+			}
+			// The reply names no location; shorten leaves the tracker as is.
+			return reply.NewID, "", nil
+		})
+	return newID, err
 }
 
 // cloneLocal ships a copy of a locally hosted complet to dest as a
 // single-entry Dup bundle and returns the copy's identity.
-func (c *Core) cloneLocal(ctx context.Context, target ids.CompletID, dest ids.CoreID, opts ref.CallOptions) (ids.CompletID, error) {
-	entry, ok := c.lookup(target)
-	if !ok {
-		return ids.CompletID{}, errStaleLocal
-	}
+func (c *Core) cloneLocal(ctx context.Context, entry *complet, dest ids.CoreID, opts ref.CallOptions) (ids.CompletID, error) {
 	data, err := c.encodeDuplicate(entry)
 	if err != nil {
 		return ids.CompletID{}, err
@@ -637,7 +572,7 @@ func (c *Core) cloneLocal(ctx context.Context, target ids.CompletID, dest ids.Co
 	}
 	reply, err := call[wire.MoveRequest, wire.MoveReply](ctx, c, dest, wire.KindMove, wire.MoveRequest{
 		Entries: []wire.BundleEntry{{
-			ID:       target,
+			ID:       entry.id,
 			TypeName: entry.typeName,
 			Payload:  data,
 			Dup:      true,
@@ -649,7 +584,7 @@ func (c *Core) cloneLocal(ctx context.Context, target ids.CompletID, dest ids.Co
 	if reply.Err != "" {
 		return ids.CompletID{}, &peerError{msg: fmt.Sprintf("core: clone to %s: %s", dest, reply.Err)}
 	}
-	newID, ok := reply.DupMap[target]
+	newID, ok := reply.DupMap[entry.id]
 	if !ok {
 		return ids.CompletID{}, fmt.Errorf("core: clone to %s: no copy identity returned", dest)
 	}
@@ -876,19 +811,17 @@ func (c *Core) installBundleLocked(from ids.CoreID, req wire.MoveRequest, raw []
 // findLocalByType returns some locally hosted complet of the given type
 // (stamp re-binding, §3.3).
 func (c *Core) findLocalByType(typeName string) (ids.CompletID, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
 	var (
 		best  ids.CompletID
 		found bool
 	)
-	for id, entry := range c.complets {
+	for _, entry := range c.hosted() {
 		if entry.typeName != typeName {
 			continue
 		}
 		// Deterministic choice: smallest ID string.
-		if !found || id.String() < best.String() {
-			best, found = id, true
+		if !found || entry.id.String() < best.String() {
+			best, found = entry.id, true
 		}
 	}
 	return best, found
@@ -911,7 +844,7 @@ func (c *Core) runContinuation(entry *complet, method string, argBytes []byte) {
 		}
 		ctx, cancel := c.withBudget(context.Background(), 0)
 		defer cancel()
-		if _, err := c.invokeLocal(ctx, entry.id, method, resBytes); err != nil {
+		if _, err := c.invokeLocalFrom(ctx, entry, ids.CompletID{}, method, resBytes); err != nil {
 			c.opts.Logf("fargo core %s: continuation %s.%s: %v", c.id, entry.typeName, method, err)
 		}
 	}()

@@ -59,10 +59,7 @@ func (c *Core) Checkpoint(w io.Writer) error {
 		return ErrClosed
 	}
 	c.mu.Lock()
-	entries := make([]*complet, 0, len(c.complets))
-	for _, e := range c.complets {
-		entries = append(entries, e)
-	}
+	entries := c.hostedLocked()
 	names := make(map[string]ref.Descriptor, len(c.names))
 	for name, r := range c.names {
 		desc, err := r.Descriptor()
@@ -115,7 +112,7 @@ func (c *Core) Checkpoint(w io.Writer) error {
 func (c *Core) snapshotComplet(e *complet) ([]byte, error) {
 	e.moveMu.RLock()
 	defer e.moveMu.RUnlock()
-	if e.gone {
+	if !e.live() {
 		return nil, nil
 	}
 	wire.RegisterWireTypes()

@@ -702,19 +702,15 @@ func (c *Core) releaseRecovered(id ids.CompletID, dest ids.CoreID) bool {
 	entry, ok := c.lookup(id)
 	if !ok {
 		// No local copy; still repair the chain to point at the survivor.
-		t := c.trackerFor(id, dest)
-		if local, _ := t.point(); !local {
-			t.setForward(dest)
-		}
+		c.trackerFor(id, dest).shorten(dest, c.id)
 		return false
 	}
 	entry.moveMu.Lock()
-	if entry.gone {
+	if !entry.live() {
 		entry.moveMu.Unlock()
 		return false
 	}
-	entry.gone = true
-	c.remove(id, dest) // one transition with gone, as in moveLocal
+	c.remove(entry, dest) // under the W-lock, as in moveLocal
 	entry.moveMu.Unlock()
 	if cb, ok := entry.anchor.(PostDeparture); ok {
 		cb.PostDeparture(dest)

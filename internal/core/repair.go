@@ -14,9 +14,10 @@ import (
 // weakest hop: one crashed or partitioned core in the middle leaves every
 // reference routed through it permanently dead, even though the home-based
 // location service (homenaming.go) knows exactly where the target lives. When
-// an invocation or move fails with an unreachability cause, the routing loops
-// fall back to a home-core location query, repoint the local tracker at the
-// fresh answer, and retry once — bypassing the dead hop entirely. Surviving
+// a routed operation (invoke, locate, move, clone) fails with an
+// unreachability cause, the chain walk (tracker.go) falls back to a home-core
+// location query, repoints the local tracker at the fresh answer, and retries
+// once — bypassing the dead hop entirely. Surviving
 // cores with stale trackers heal the same way on their own next forwarding
 // failure, so the chain erodes into direct edges as it is exercised.
 //
@@ -40,11 +41,11 @@ func repairable(err error) bool {
 // repairChain attempts to heal this core's tracker for target after the hop
 // via dead failed unreachably. It resolves the target through its home core
 // (one round trip, no retries), repoints the tracker when the answer differs
-// from the dead hop, and fires EventChainRepaired. It returns the fresh
-// location and whether the caller should retry through it.
-func (c *Core) repairChain(ctx context.Context, target ids.CompletID, dead ids.CoreID, op string) (ids.CoreID, bool) {
+// from the dead hop, and fires EventChainRepaired. It reports whether the
+// caller should retry through the repointed tracker.
+func (c *Core) repairChain(ctx context.Context, target ids.CompletID, dead ids.CoreID, op string) bool {
 	if ctx.Err() != nil {
-		return "", false
+		return false
 	}
 	ctx, sp := c.tracer.ChildSpan(ctx, "repair "+target.String())
 	if sp != nil {
@@ -65,19 +66,19 @@ func (c *Core) repairChain(ctx context.Context, target ids.CompletID, dead ids.C
 		c.opts.Logf("fargo core %s: chain repair for %s after %s failed: home query: %v", c.id, target, dead, err)
 		sp.SetError(err)
 		repairFailed("home query failed", err)
-		return "", false
+		return false
 	}
 	if loc == dead {
 		// The home agrees with the tracker: the target really lives on the
 		// unreachable core. Nothing to route around.
 		sp.SetAttr("verdict", "home agrees with dead hop")
 		repairFailed("home agrees with dead hop", nil)
-		return "", false
+		return false
 	}
-	if !c.repointTracker(target, loc) {
+	if !c.trackerFor(target, loc).shorten(loc, c.id) {
 		sp.SetAttr("verdict", "tracker kept authoritative state")
 		repairFailed("tracker kept authoritative state", nil)
-		return "", false
+		return false
 	}
 	sp.SetAttr("repointed", loc.String())
 	c.met.repairs.Inc()
@@ -89,31 +90,6 @@ func (c *Core) repairChain(ctx context.Context, target ids.CompletID, dead ids.C
 	})
 	c.opts.Logf("fargo core %s: chain repaired for %s: %s -> %s (%s)", c.id, target, dead, loc, op)
 	c.mon.fireBuiltin(EventChainRepaired, target, fmt.Sprintf("%s -> %s", dead, loc))
-	return loc, true
-}
-
-// repointTracker rewrites this core's tracker for the complet to point at
-// loc. Authoritative local state is never overwritten: a tracker that says
-// "hosted here" while the repository agrees stays local (the home record was
-// the stale party). Returns whether the tracker now points at loc.
-func (c *Core) repointTracker(target ids.CompletID, loc ids.CoreID) bool {
-	// Lock order: c.mu (inside lookup / trackerFor) strictly before the
-	// tracker's own mutex, matching install/remove.
-	_, hostedHere := c.lookup(target)
-	t := c.trackerFor(target, loc)
-	if loc == c.id {
-		if hostedHere {
-			t.setLocal()
-			return true
-		}
-		return false
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	if t.local && hostedHere {
-		return false
-	}
-	t.local, t.next = false, loc
 	return true
 }
 

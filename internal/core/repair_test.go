@@ -3,12 +3,14 @@ package core
 import (
 	"context"
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
 
 	"fargo/internal/ids"
 	"fargo/internal/netsim"
+	"fargo/internal/ref"
 	"fargo/internal/registry"
 	"fargo/internal/transport"
 )
@@ -159,17 +161,55 @@ func TestChainRepairViaFaultyPartition(t *testing.T) {
 	_ = cl
 }
 
-func TestChainRepairHealsMoveRouting(t *testing.T) {
-	cl, a, id := staleChain(t)
-	if err := cl.net.StopHost("b"); err != nil {
-		t.Fatal(err)
-	}
-	// Routing a move command through the stale chain heals the same way.
-	if err := a.MoveByID(id, "a"); err != nil {
-		t.Fatalf("move through dead chain hop: %v", err)
-	}
-	if _, ok := a.lookup(id); !ok {
-		t.Fatal("complet did not arrive after repaired move")
+// TestChainRepairHealsRouting routes each non-invoke operation through the
+// stale chain with the middle hop dead: the chain walk repairs every routed
+// operation the same way, through the home core, once.
+func TestChainRepairHealsRouting(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		run  func(a *Core, id ids.CompletID) error
+	}{
+		{"move", func(a *Core, id ids.CompletID) error {
+			if err := a.MoveByID(id, "a"); err != nil {
+				return err
+			}
+			if _, ok := a.lookup(id); !ok {
+				return errors.New("complet did not arrive after repaired move")
+			}
+			return nil
+		}},
+		{"locate", func(a *Core, id ids.CompletID) error {
+			loc, err := a.LocateComplet(id)
+			if err == nil && loc != "c" {
+				err = fmt.Errorf("located at %s, want c", loc)
+			}
+			return err
+		}},
+		{"clone", func(a *Core, id ids.CompletID) error {
+			copyID, err := a.cloneCommand(context.Background(), id, "a", 0, ref.CallOptions{})
+			if err != nil {
+				return err
+			}
+			if _, ok := a.lookup(copyID); !ok {
+				return fmt.Errorf("copy %s not hosted at a", copyID)
+			}
+			return nil
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cl, a, id := staleChain(t)
+			if err := cl.net.StopHost("b"); err != nil {
+				t.Fatal(err)
+			}
+			if err := tc.run(a, id); err != nil {
+				t.Fatalf("%s through dead chain hop: %v", tc.name, err)
+			}
+			if tc.name != "move" {
+				if loc, _ := a.TrackerTarget(id); loc != "c" {
+					t.Fatalf("tracker after repaired %s at %v, want c", tc.name, loc)
+				}
+			}
+		})
 	}
 }
 
