@@ -461,8 +461,13 @@ func (c *Core) install(id ids.CompletID, typeName string, anchor any, bundle *wi
 	}
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	entry.t = c.trackerLocked(id, "")
-	if old := entry.t.rec.Load().entry; old != nil {
+	entry.t = c.trackers[id]
+	if entry.t == nil {
+		// The first record of a new tracker is the entry itself.
+		entry.t = &tracker{}
+		c.trackers[id] = entry.t
+		c.nHosted++
+	} else if old := entry.t.rec.Load().entry; old != nil {
 		delete(c.byAnchor, old.anchor)
 	} else {
 		c.nHosted++

@@ -76,6 +76,20 @@ func (w *witness) PostArrival(from ids.CoreID) {
 	w.Events = append(w.Events, "postArrival:"+from.String())
 }
 
+// tracedHolder is a holder that records its arrival callbacks.
+type tracedHolder struct {
+	Out    *ref.Ref
+	Events []string
+}
+
+func (h *tracedHolder) SetOut(r *ref.Ref) { h.Out = r }
+func (h *tracedHolder) PreArrival(from ids.CoreID) {
+	h.Events = append(h.Events, "preArrival:"+from.String())
+}
+func (h *tracedHolder) PostArrival(from ids.CoreID) {
+	h.Events = append(h.Events, "postArrival:"+from.String())
+}
+
 // agent is a self-moving complet exercising continuations.
 type agent struct {
 	Visited []string
@@ -118,6 +132,7 @@ func registerTestTypes(t *testing.T, reg *registry.Registry) {
 		"Msg":     (*msg)(nil),
 		"Holder":  (*holder)(nil),
 		"Witness": (*witness)(nil),
+		"Traced":  (*tracedHolder)(nil),
 		"Agent":   (*agent)(nil),
 		"Printer": (*printerLike)(nil),
 		"Sink":    (*eventSink)(nil),

@@ -399,8 +399,14 @@ func TestHopBudgetTripEmitsEvent(t *testing.T) {
 		{"move", func() error { return a.MoveByID(ghost, "b") }},
 		{"clone", func() error { _, err := a.cloneCommand(ctx, ghost, "b", 0, ref.CallOptions{}); return err }},
 	} {
-		if err := op.run(); !errors.Is(err, ErrTooManyHops) {
+		err := op.run()
+		if !errors.Is(err, ErrTooManyHops) {
 			t.Fatalf("%s around a tracker cycle: err = %v, want ErrTooManyHops", op.name, err)
+		}
+		// Each hop passes the downstream verdict on as it is, so the
+		// text does not grow with the chain.
+		if n := len(err.Error()); n >= 512 {
+			t.Fatalf("%s: error text is %d bytes, want < 512: %.300s…", op.name, n, err)
 		}
 		select {
 		case ev := <-tripped:

@@ -274,7 +274,7 @@ func (c *Core) locate(ctx context.Context, target ids.CompletID, hint ids.CoreID
 				return struct{}{}, "", err
 			}
 			if reply.Err != "" {
-				return struct{}{}, "", &peerError{msg: fmt.Sprintf("core: locate %s: %s", target, reply.Err)}
+				return struct{}{}, "", &peerError{msg: reply.Err}
 			}
 			return struct{}{}, reply.Location, nil
 		})

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"slices"
 	"strconv"
 	"time"
 
@@ -182,7 +183,9 @@ func (c *Core) moveCommand(ctx context.Context, target ids.CompletID, hint ids.C
 				return struct{}{}, "", fmt.Errorf("core: route move of %s: %w", target, err)
 			}
 			if reply.Err != "" {
-				return struct{}{}, "", &peerError{msg: fmt.Sprintf("core: move %s: %s", target, reply.Err)}
+				// The verdict already names the operation; wrapping it
+				// again at every hop would nest the text per hop.
+				return struct{}{}, "", &peerError{msg: reply.Err}
 			}
 			return struct{}{}, dest, nil
 		})
@@ -348,16 +351,14 @@ func (c *Core) moveLocal(ctx context.Context, root *complet, dest ids.CoreID, co
 			}
 			dupDone[d] = true
 			if dupEntry, ok := c.lookup(d); ok {
-				dupPayload, err := c.encodeDuplicate(dupEntry)
+				// A copy of a complet this move already W-locked (a
+				// travelling complet, or the one being marshaled) is
+				// encoded under that lock.
+				copied, err := c.encodeEntry(dupEntry, ref.ModeParam, slices.Contains(locked, dupEntry))
 				if err != nil {
 					return fail(fmt.Errorf("core: marshal duplicate %s: %w", d, err))
 				}
-				entries = append(entries, wire.BundleEntry{
-					ID:       d,
-					TypeName: dupEntry.typeName,
-					Payload:  dupPayload,
-					Dup:      true,
-				})
+				entries = append(entries, copied)
 			} else {
 				remoteDups = append(remoteDups, d)
 			}
@@ -499,21 +500,7 @@ func (c *Core) moveLocal(ctx context.Context, root *complet, dest ids.CoreID, co
 		DurationNanos: time.Since(protoStart).Nanoseconds(),
 		Detail:        fmt.Sprintf("%d complet(s)", len(entries)),
 	})
-	// The tracker flips to dest under the W-lock, and that flip is what
-	// ends the entry's liveness: an invocation that blocked on moveMu wakes
-	// to a tracker that already points away, so it retries once instead of
-	// spinning on a stale "local" until the hop budget runs out. remove also
-	// releases the departed meters, which now live at the destination.
-	for _, e := range locked {
-		c.remove(e, dest)
-	}
-	unlock()
-	for _, e := range locked {
-		if cb, ok := e.anchor.(PostDeparture); ok {
-			cb.PostDeparture(dest)
-		}
-		c.mon.fireBuiltin(EventCompletDeparted, e.id, dest.String())
-	}
+	c.depart(locked, dest)
 
 	// Chase pull targets that were not co-located.
 	for _, p := range remotePulls {
@@ -524,17 +511,45 @@ func (c *Core) moveLocal(ctx context.Context, root *complet, dest ids.CoreID, co
 	return nil
 }
 
-// encodeDuplicate marshals a copy of a complet's closure for a duplicate
-// reference. The copy's own outgoing references are degraded to link
-// (ModeParam): a replica does not drag further complets around.
-func (c *Core) encodeDuplicate(entry *complet) ([]byte, error) {
-	entry.moveMu.RLock()
-	defer entry.moveMu.RUnlock()
-	if !entry.live() {
-		return nil, errStaleLocal
+// depart is the one departure step of complets that left this core, by a
+// committed move or by recovery's release. The caller holds each entry's
+// W-lock. The tracker flips to dest under that lock, and that flip is what
+// ends the entry's liveness: an invocation that blocked on moveMu wakes to a
+// tracker that already points away, so it retries once instead of spinning
+// on a stale "local" until the hop budget runs out. remove also releases the
+// departed meters, which now live at the destination. PostDeparture and the
+// departure event follow the unlock.
+func (c *Core) depart(locked []*complet, dest ids.CoreID) {
+	for _, e := range locked {
+		c.remove(e, dest)
 	}
-	data, _, err := wire.EncodeArgs([]any{entry.anchor})
-	return data, err
+	for _, e := range locked {
+		e.moveMu.Unlock()
+	}
+	for _, e := range locked {
+		if cb, ok := e.anchor.(PostDeparture); ok {
+			cb.PostDeparture(dest)
+		}
+		c.mon.fireBuiltin(EventCompletDeparted, e.id, dest.String())
+	}
+}
+
+// encodeEntry encodes a hosted complet's closure in place, as a bundle entry:
+// under ModeParam a copy for a duplicate reference or a clone, whose own
+// references degrade to links (a replica does not drag further complets
+// around), under ModeSnapshot a checkpoint entry. held says the caller
+// already holds the entry's W-lock; otherwise the entry is read-locked for
+// the encoding, and errStaleLocal reports that it has moved away.
+func (c *Core) encodeEntry(entry *complet, mode ref.Mode, held bool) (wire.BundleEntry, error) {
+	if !held {
+		entry.moveMu.RLock()
+		defer entry.moveMu.RUnlock()
+		if !entry.live() {
+			return wire.BundleEntry{}, errStaleLocal
+		}
+	}
+	payload, err := wire.EncodeClosureWith(&ref.Collector{Mode: mode}, entry.anchor)
+	return wire.BundleEntry{ID: entry.id, TypeName: entry.typeName, Payload: payload, Dup: mode == ref.ModeParam}, err
 }
 
 // cloneCommand asks the owner of target to install a copy at dest, routing
@@ -551,7 +566,7 @@ func (c *Core) cloneCommand(ctx context.Context, target ids.CompletID, dest ids.
 				return ids.CompletID{}, "", fmt.Errorf("core: route clone of %s: %w", target, err)
 			}
 			if reply.Err != "" {
-				return ids.CompletID{}, "", &peerError{msg: fmt.Sprintf("core: clone %s: %s", target, reply.Err)}
+				return ids.CompletID{}, "", &peerError{msg: reply.Err}
 			}
 			// The reply names no location; shorten leaves the tracker as is.
 			return reply.NewID, "", nil
@@ -560,24 +575,17 @@ func (c *Core) cloneCommand(ctx context.Context, target ids.CompletID, dest ids.
 }
 
 // cloneLocal ships a copy of a locally hosted complet to dest as a
-// single-entry Dup bundle and returns the copy's identity.
+// single-entry Dup bundle and returns the copy's identity. A copy for this
+// core arrives through the same installation as one shipped to a peer.
 func (c *Core) cloneLocal(ctx context.Context, entry *complet, dest ids.CoreID, opts ref.CallOptions) (ids.CompletID, error) {
-	data, err := c.encodeDuplicate(entry)
+	copied, err := c.encodeEntry(entry, ref.ModeParam, false)
 	if err != nil {
 		return ids.CompletID{}, err
 	}
-	if dest == c.id {
-		// Local clone: install directly.
-		return c.installDuplicate(entry.typeName, data)
-	}
-	reply, err := call[wire.MoveRequest, wire.MoveReply](ctx, c, dest, wire.KindMove, wire.MoveRequest{
-		Entries: []wire.BundleEntry{{
-			ID:       entry.id,
-			TypeName: entry.typeName,
-			Payload:  data,
-			Dup:      true,
-		}},
-	}, opts, nil)
+	req := wire.MoveRequest{Entries: []wire.BundleEntry{copied}}
+	reply, err := call(ctx, c, dest, wire.KindMove, req, opts, func() (wire.MoveReply, error) {
+		return c.installBundle(c.id, req, nil), nil
+	})
 	if err != nil {
 		return ids.CompletID{}, err
 	}
@@ -600,31 +608,50 @@ func (c *Core) serveClone(ctx context.Context, req wire.CloneCommand) (wire.Clon
 	return wire.CloneCommandReply{NewID: newID}, nil
 }
 
-// installDuplicate decodes a duplicate payload (encoded by encodeDuplicate)
-// and installs it under a fresh identity.
-func (c *Core) installDuplicate(typeName string, data []byte) (ids.CompletID, error) {
-	vals, decoded, err := wire.DecodeArgs(data)
-	if err != nil {
-		return ids.CompletID{}, err
-	}
-	if len(vals) != 1 {
-		return ids.CompletID{}, fmt.Errorf("core: duplicate payload holds %d values", len(vals))
-	}
-	c.bindDecoded(decoded)
-	newID := c.mint.Next()
-	c.install(newID, typeName, vals[0], nil)
-	c.mon.fireBuiltin(EventCompletArrived, newID, "duplicate")
-	return newID, nil
-}
-
-// arrivedComplet is the receiver-side record of one bundle entry during
-// installation.
+// arrivedComplet is the receiver-side record of one complet coming in from
+// outside this core, between decoding and installation.
 type arrivedComplet struct {
 	id       ids.CompletID
 	typeName string
 	anchor   any
 	refs     []*ref.Ref
-	dup      bool
+}
+
+// decodeArrivals decodes the closures of entries — one DecodeClosure each,
+// whatever mode encoded them — before any of them is installed, so one bad
+// entry refuses the whole batch and leaves the core as it was.
+func decodeArrivals(entries []wire.BundleEntry) ([]arrivedComplet, error) {
+	arrived := make([]arrivedComplet, 0, len(entries))
+	for _, e := range entries {
+		anchor, refs, err := wire.DecodeClosure(e.Payload)
+		if err != nil {
+			return nil, fmt.Errorf("decode %s (%s): %w", e.ID, e.TypeName, err)
+		}
+		arrived = append(arrived, arrivedComplet{id: e.ID, typeName: e.TypeName, anchor: anchor, refs: refs})
+	}
+	return arrived, nil
+}
+
+// arrive is the one arrival step of complets that come in from outside this
+// core: a movement bundle or a clone, a journal re-install and a checkpoint
+// restore. Each arrival's references are owned by it (per-reference
+// invocation profiling keys on the owner) and bound here; then the complet is
+// installed, its meters seeded from the bundle's accounting when it
+// travelled in one, and reported to its home core. A restore passes no bundle
+// and reports nothing home: a checkpoint can be older than the journal, and
+// Recover settles the locations.
+func (c *Core) arrive(arrived []arrivedComplet, bundle *wire.MoveRequest) {
+	homeTracking := bundle != nil && c.homeTrackingEnabled()
+	for _, a := range arrived {
+		for _, r := range a.refs {
+			r.SetOwner(a.id)
+		}
+		c.bindDecoded(a.refs)
+		c.install(a.id, a.typeName, a.anchor, bundle)
+		if homeTracking {
+			c.reportHome(a.id)
+		}
+	}
 }
 
 // handleMove installs an arriving movement bundle (§3.3, receiver side):
@@ -659,71 +686,46 @@ func (c *Core) handleMove(ctx context.Context, env wire.Envelope) (wire.Kind, []
 // re-install after a crash). Epoch-stamped bundles install at most once: a
 // duplicate delivery gets the original reply, a delivery racing a recovery
 // probe's durable refusal is rejected.
-func (c *Core) installBundle(from ids.CoreID, req wire.MoveRequest, raw []byte) wire.MoveReply {
+func (c *Core) installBundle(from ids.CoreID, req wire.MoveRequest, raw []byte) (reply wire.MoveReply) {
 	if req.Epoch != 0 {
 		key := moveKey{source: from, epoch: req.Epoch}
 		cached, claim := c.beginInstall(key)
 		if claim != claimRun {
 			return cached
 		}
-		reply := c.installBundleLocked(from, req, raw)
-		c.finishInstall(key, reply)
-		return reply
+		defer func() { c.finishInstall(key, reply) }()
 	}
-	return c.installBundleLocked(from, req, raw)
-}
-
-func (c *Core) installBundleLocked(from ids.CoreID, req wire.MoveRequest, raw []byte) wire.MoveReply {
 	// Admission control (resource allocation, §7 future work): refuse the
 	// whole bundle when it does not fit; the sender keeps the complets.
 	if err := c.admit(len(req.Entries)); err != nil {
+		return wire.MoveReply{Err: err.Error()}
+	}
+	arrived, err := decodeArrivals(req.Entries)
+	if err != nil {
 		return wire.MoveReply{Err: err.Error()}
 	}
 	dupMap := make(map[ids.CompletID]ids.CompletID, len(req.PreDup))
 	for old, copyID := range req.PreDup {
 		dupMap[old] = copyID
 	}
-
-	arrived := make([]arrivedComplet, 0, len(req.Entries))
-	for _, e := range req.Entries {
-		var (
-			a    arrivedComplet
-			err  error
-			vals []any
-		)
-		a.id, a.typeName, a.dup = e.ID, e.TypeName, e.Dup
-		if e.Dup {
-			vals, a.refs, err = wire.DecodeArgs(e.Payload)
-			if err == nil && len(vals) == 1 {
-				a.anchor = vals[0]
-			} else if err == nil {
-				err = fmt.Errorf("duplicate payload holds %d values", len(vals))
-			}
-			if err == nil {
-				a.id = c.mint.Next()
-				dupMap[e.ID] = a.id
-			}
-		} else {
-			a.anchor, a.refs, err = wire.DecodeClosure(e.Payload)
-		}
-		if err != nil {
-			return wire.MoveReply{Err: fmt.Sprintf("decode %s (%s): %v", e.ID, e.TypeName, err)}
+	for i := range arrived {
+		a := &arrived[i]
+		if req.Entries[i].Dup {
+			// A copy lives under a fresh identity.
+			a.id = c.mint.Next()
+			dupMap[req.Entries[i].ID] = a.id
 		}
 		// preArrival runs after decoding but before reference linking
 		// ("before finishing unmarshaling").
 		if cb, ok := a.anchor.(PreArrival); ok {
 			cb.PreArrival(from)
 		}
-		arrived = append(arrived, a)
 	}
 
 	// Re-bind references: duplicates to their copies, stamps to local
-	// equivalents; everything gets attached to this core. References in a
-	// complet's closure are owned by that complet (per-reference
-	// invocation profiling keys on this).
-	for i := range arrived {
-		for _, r := range arrived[i].refs {
-			r.SetOwner(arrived[i].id)
+	// equivalents.
+	for _, a := range arrived {
+		for _, r := range a.refs {
 			switch {
 			case r.DecodedDup():
 				if copyID, ok := dupMap[r.Target()]; ok {
@@ -740,7 +742,6 @@ func (c *Core) installBundleLocked(from ids.CoreID, req wire.MoveRequest, raw []
 				}
 			}
 		}
-		c.bindDecoded(arrived[i].refs)
 	}
 
 	// Durability point (DESIGN.md §13): journal the INSTALL record — raw
@@ -750,9 +751,9 @@ func (c *Core) installBundleLocked(from ids.CoreID, req wire.MoveRequest, raw []
 	// the complets.
 	if req.Epoch != 0 {
 		moved := make([]ids.CompletID, 0, len(arrived))
-		for _, a := range arrived {
-			if !a.dup {
-				moved = append(moved, a.id)
+		for _, e := range req.Entries {
+			if !e.Dup {
+				moved = append(moved, e.ID)
 			}
 		}
 		if err := c.journalInstall(from, req.Epoch, moved, raw); err != nil {
@@ -767,19 +768,7 @@ func (c *Core) installBundleLocked(from ids.CoreID, req wire.MoveRequest, raw []
 		}
 	}
 
-	// Install complets and trackers.
-	installed := make([]ids.CompletID, 0, len(arrived))
-	homeTracking := c.homeTrackingEnabled()
-	for _, a := range arrived {
-		// The shipped accounting seeds each arrival under its unchanged
-		// identity, so rates observed before the move keep informing the
-		// layout planner here.
-		c.install(a.id, a.typeName, a.anchor, &req)
-		installed = append(installed, a.id)
-		if homeTracking {
-			c.reportHome(a.id)
-		}
-	}
+	c.arrive(arrived, &req)
 
 	// Register carried names against the (tracking) references.
 	for name, idx := range req.Names {
@@ -790,11 +779,13 @@ func (c *Core) installBundleLocked(from ids.CoreID, req wire.MoveRequest, raw []
 	}
 
 	// postArrival + events once everything is linked.
+	installed := make([]ids.CompletID, 0, len(arrived))
 	for _, a := range arrived {
 		if cb, ok := a.anchor.(PostArrival); ok {
 			cb.PostArrival(from)
 		}
 		c.mon.fireBuiltin(EventCompletArrived, a.id, from.String())
+		installed = append(installed, a.id)
 	}
 
 	// Continuation: resume the computation on the first entry's anchor.

@@ -403,6 +403,195 @@ func TestRemoteDuplicateCloned(t *testing.T) {
 	}
 }
 
+// setRelocator sets the relocator of a hosted holder's outgoing reference.
+func setRelocator(t *testing.T, c *Core, r *ref.Ref, rel ref.Relocator) {
+	t.Helper()
+	entry, ok := c.lookup(r.Target())
+	if !ok {
+		t.Fatalf("%v not hosted at %s", r.Target(), c.ID())
+	}
+	if err := entry.anchor.(*holder).Out.Meta().SetRelocator(rel); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestDuplicateOfTravellingComplet moves a closure in which a complet that
+// travels is also the target of a duplicate reference: the copy is encoded
+// under the lock the move already holds, and the move returns.
+func TestDuplicateOfTravellingComplet(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		// build returns α, the root of the move, and the number of
+		// complets b must host afterwards.
+		build func(t *testing.T, a *Core) (*ref.Ref, int)
+	}{
+		{"pulled target duplicates the root", func(t *testing.T, a *Core) (*ref.Ref, int) {
+			// α --pull--> γ --duplicate--> α
+			alpha, err := a.NewComplet("Holder", "alpha")
+			if err != nil {
+				t.Fatal(err)
+			}
+			gamma, err := a.NewComplet("Holder", "gamma")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := alpha.Invoke("SetOut", gamma); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := gamma.Invoke("SetOut", alpha); err != nil {
+				t.Fatal(err)
+			}
+			setRelocator(t, a, alpha, ref.Pull{})
+			setRelocator(t, a, gamma, ref.Duplicate{})
+			return alpha, 3 // α, γ and the copy of α
+		}},
+		{"root duplicates itself", func(t *testing.T, a *Core) (*ref.Ref, int) {
+			alpha, err := a.NewComplet("Holder", "alpha")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := alpha.Invoke("SetOut", alpha); err != nil {
+				t.Fatal(err)
+			}
+			setRelocator(t, a, alpha, ref.Duplicate{})
+			return alpha, 2 // α and its copy
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cl := newCluster(t, "a", "b")
+			a, b := cl.core("a"), cl.core("b")
+			alpha, want := tc.build(t, a)
+			done := make(chan error, 1)
+			go func() { done <- a.Move(alpha, "b") }()
+			select {
+			case err := <-done:
+				if err != nil {
+					t.Fatal(err)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("move did not return within 5s")
+			}
+			if a.CompletCount() != 0 || b.CompletCount() != want {
+				t.Fatalf("a hosts %d, b hosts %d; want 0 and %d", a.CompletCount(), b.CompletCount(), want)
+			}
+		})
+	}
+}
+
+// TestDuplicateAtDestinationArrivesLikeRemoteClone moves α to b while α
+// holds a duplicate reference to β, which already lives at b. b's owner-side
+// clone of β must arrive like a clone shipped from any other core: the copy
+// owns its references, sees its arrival callbacks and counts against b's
+// capacity.
+func TestDuplicateAtDestinationArrivesLikeRemoteClone(t *testing.T) {
+	t.Run("arrival", func(t *testing.T) {
+		cl := newCluster(t, "a", "b")
+		a, b := cl.core("a"), cl.core("b")
+		arrived := make(chan Event, 8)
+		token, err := b.Monitor().SubscribeBuiltin(EventCompletArrived, func(ev Event) { arrived <- ev })
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer b.Monitor().Unsubscribe(token)
+		gamma, err := b.NewComplet("Msg", "gamma")
+		if err != nil {
+			t.Fatal(err)
+		}
+		beta, err := b.NewComplet("Traced")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := beta.Invoke("SetOut", gamma); err != nil {
+			t.Fatal(err)
+		}
+		alpha, err := a.NewComplet("Holder", "alpha")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := alpha.Invoke("SetOut", beta); err != nil {
+			t.Fatal(err)
+		}
+		setRelocator(t, a, alpha, ref.Duplicate{})
+		if err := a.Move(alpha, "b"); err != nil {
+			t.Fatal(err)
+		}
+		if got := b.CompletCount(); got != 4 {
+			t.Fatalf("b hosts %d, want 4 (α, β, its copy, γ)", got)
+		}
+		alphaAtB, ok := b.lookup(alpha.Target())
+		if !ok {
+			t.Fatal("α not at b")
+		}
+		copyID := alphaAtB.anchor.(*holder).Out.Target()
+		if copyID == beta.Target() {
+			t.Fatal("α's duplicate reference still targets the original β")
+		}
+		copyEntry, ok := b.lookup(copyID)
+		if !ok {
+			t.Fatalf("copy %v not hosted at b", copyID)
+		}
+		cp := copyEntry.anchor.(*tracedHolder)
+		if owner := cp.Out.Owner(); owner != copyID {
+			t.Fatalf("copy's reference owned by %v, want the copy %v", owner, copyID)
+		}
+		if got, want := strings.Join(cp.Events, ","), "preArrival:b,postArrival:b"; got != want {
+			t.Fatalf("copy's callbacks = %q, want %q", got, want)
+		}
+		deadline := time.After(2 * time.Second)
+		for {
+			select {
+			case ev := <-arrived:
+				if ev.Complet != copyID {
+					continue
+				}
+				if ev.Detail != "b" {
+					t.Fatalf("copy's arrival detail = %q, want the owner core b", ev.Detail)
+				}
+				return
+			case <-deadline:
+				t.Fatal("no arrival event for the copy")
+			}
+		}
+	})
+	t.Run("at capacity", func(t *testing.T) {
+		cl := newCluster(t, "a", "b")
+		a, b := cl.core("a"), cl.core("b")
+		beta, err := b.NewComplet("Msg", "beta")
+		if err != nil {
+			t.Fatal(err)
+		}
+		b.SetCapacity(1)
+		alpha, err := a.NewComplet("Holder", "alpha")
+		if err != nil {
+			t.Fatal(err)
+		}
+		if _, err := alpha.Invoke("SetOut", beta); err != nil {
+			t.Fatal(err)
+		}
+		setRelocator(t, a, alpha, ref.Duplicate{})
+		// The copy is made (or refused) before the bundle ships; room for
+		// α alone is made after that.
+		a.SetMoveStepHook(func(step MoveStep, _ ids.CompletID) bool {
+			if step == StepBeforePrepare {
+				b.SetCapacity(2)
+			}
+			return false
+		})
+		if err := a.Move(alpha, "b"); err != nil {
+			t.Fatal(err)
+		}
+		if got := b.CompletCount(); got != 2 {
+			t.Fatalf("b hosts %d, want 2 (β and α; the copy refused at capacity)", got)
+		}
+		if got := invoke1(t, alpha, "CallOut"); got != "beta" {
+			t.Fatalf("CallOut = %v", got)
+		}
+		if got := invoke1(t, beta, "Calls"); got != 1 {
+			t.Fatalf("original β Calls = %v, want 1 (α's reference degraded to a link)", got)
+		}
+	})
+}
+
 func TestRemotePullChased(t *testing.T) {
 	// α on a, β on c, α --pull--> β; moving α to b also brings β to b
 	// (follow-up move, documented deviation from single-message).

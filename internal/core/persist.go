@@ -1,7 +1,6 @@
 package core
 
 import (
-	"bytes"
 	"context"
 	"encoding/gob"
 	"fmt"
@@ -26,21 +25,17 @@ import (
 // checkpointMagic guards against restoring garbage.
 const checkpointMagic = "fargo-checkpoint-v1"
 
-// checkpointEntry is one persisted complet.
-type checkpointEntry struct {
-	ID       ids.CompletID
-	TypeName string
-	Payload  []byte // closure encoded under ModeSnapshot
-}
-
 // checkpointFile is the on-disk format.
 type checkpointFile struct {
 	Magic string
 	Core  ids.CoreID
 	// MaxSeq is the highest complet sequence number minted by this core,
 	// so a restored core never re-issues an ID.
-	MaxSeq  uint64
-	Entries []checkpointEntry
+	MaxSeq uint64
+	// Entries hold closures encoded under ModeSnapshot. Checkpoints written
+	// before entries were bundle entries stored the same fields, and their
+	// closures in a box of the same shape, so they still decode.
+	Entries []wire.BundleEntry
 	Names   map[string]ref.Descriptor
 	// JournalSeq is the move journal's record count when the checkpoint was
 	// taken (0 with journaling off). Restore uses it to order the
@@ -80,18 +75,14 @@ func (c *Core) Checkpoint(w io.Writer) error {
 		file.JournalSeq = records
 	}
 	for _, e := range entries {
-		payload, err := c.snapshotComplet(e)
+		snap, err := c.encodeEntry(e, ref.ModeSnapshot, false)
+		if err == errStaleLocal {
+			continue // moved away mid-checkpoint
+		}
 		if err != nil {
 			return fmt.Errorf("core: checkpoint %s: %w", e.id, err)
 		}
-		if payload == nil {
-			continue // moved away mid-checkpoint
-		}
-		file.Entries = append(file.Entries, checkpointEntry{
-			ID:       e.id,
-			TypeName: e.typeName,
-			Payload:  payload,
-		})
+		file.Entries = append(file.Entries, snap)
 		if e.id.Birth == c.id && e.id.Seq > file.MaxSeq {
 			file.MaxSeq = e.id.Seq
 		}
@@ -106,30 +97,6 @@ func (c *Core) Checkpoint(w io.Writer) error {
 		return fmt.Errorf("core: write checkpoint: %w", err)
 	}
 	return nil
-}
-
-// snapshotComplet encodes one complet's closure under ModeSnapshot.
-func (c *Core) snapshotComplet(e *complet) ([]byte, error) {
-	e.moveMu.RLock()
-	defer e.moveMu.RUnlock()
-	if !e.live() {
-		return nil, nil
-	}
-	wire.RegisterWireTypes()
-	coll := &ref.Collector{Mode: ref.ModeSnapshot}
-	var buf bytes.Buffer
-	err := ref.WithCollector(coll, func() error {
-		return gob.NewEncoder(&buf).Encode(snapshotBox{Anchor: e.anchor})
-	})
-	if err != nil {
-		return nil, err
-	}
-	return buf.Bytes(), nil
-}
-
-// snapshotBox wraps the anchor so gob records its dynamic type.
-type snapshotBox struct {
-	Anchor any
 }
 
 // CheckpointFile checkpoints to a file path, atomically: the checkpoint is
@@ -194,35 +161,32 @@ func (c *Core) Restore(r io.Reader) (int, error) {
 	}
 
 	// Phase 1: decode everything without touching the repository.
-	type restoredComplet struct {
-		entry   checkpointEntry
-		anchor  any
-		decoded []*ref.Ref
-	}
-	pending := make([]restoredComplet, 0, len(file.Entries))
+	pending := make([]wire.BundleEntry, 0, len(file.Entries))
 	for _, entry := range file.Entries {
+		at, journaled := c.journaledArrival(entry.ID)
 		if _, exists := c.lookup(entry.ID); exists {
 			// A recovery probe (or the runtime protocol) may have installed
 			// this complet from a journaled INSTALL record before the
 			// checkpoint was restored (recovery.go); that live copy stays,
 			// the checkpoint entry is skipped. Anything else hosted under
 			// the same ID is a real conflict.
-			if c.hasInstallRec(entry.ID) {
+			if journaled {
 				continue
 			}
 			return 0, fmt.Errorf("core: restore: complet %s already hosted", entry.ID)
 		}
 		// The complet is absent, but if the journal recorded its arrival
-		// AFTER this checkpoint was taken, the journaled bundle is the
-		// fresher state: skip the entry and let Recover re-install it.
-		if c.installRecSupersedes(entry.ID, file.JournalSeq) {
+		// at or AFTER the point this checkpoint was taken, the journaled
+		// bundle is the fresher state: skip the entry and let Recover
+		// re-install it.
+		if journaled && at >= file.JournalSeq {
 			continue
 		}
-		anchor, decoded, err := decodeSnapshot(entry.Payload)
-		if err != nil {
-			return 0, fmt.Errorf("core: restore %s: %w", entry.ID, err)
-		}
-		pending = append(pending, restoredComplet{entry: entry, anchor: anchor, decoded: decoded})
+		pending = append(pending, entry)
+	}
+	arrived, err := decodeArrivals(pending)
+	if err != nil {
+		return 0, fmt.Errorf("core: restore: %w", err)
 	}
 	names := make(map[string]*ref.Ref, len(file.Names))
 	for name, desc := range file.Names {
@@ -236,13 +200,9 @@ func (c *Core) Restore(r io.Reader) (int, error) {
 	// Phase 2: the checkpoint is sound; install it.
 	// Never mint an ID the checkpointed core may have issued.
 	c.mint.Advance(file.MaxSeq)
-	for _, rc := range pending {
-		for _, dr := range rc.decoded {
-			dr.SetOwner(rc.entry.ID)
-		}
-		c.bindDecoded(rc.decoded)
-		c.install(rc.entry.ID, rc.entry.TypeName, rc.anchor, nil)
-		c.mon.fireBuiltin(EventCompletArrived, rc.entry.ID, "restore")
+	c.arrive(arrived, nil)
+	for _, a := range arrived {
+		c.mon.fireBuiltin(EventCompletArrived, a.id, "restore")
 	}
 	for name, nr := range names {
 		nr.Bind(c.binder())
@@ -263,7 +223,7 @@ func (c *Core) Restore(r io.Reader) (int, error) {
 			c.opts.Logf("fargo core %s: post-restore recovery: %s", c.id, rep)
 		}
 	}
-	return len(pending), nil
+	return len(arrived), nil
 }
 
 // RestoreFile restores from a file path.
@@ -308,18 +268,4 @@ func (c *Core) serveCheckpoint(_ context.Context, req wire.CheckpointRequest) (w
 		return wire.CheckpointReply{Err: err.Error()}, nil
 	}
 	return wire.CheckpointReply{Complets: c.CompletCount()}, nil
-}
-
-// decodeSnapshot decodes a ModeSnapshot closure.
-func decodeSnapshot(data []byte) (any, []*ref.Ref, error) {
-	wire.RegisterWireTypes()
-	coll := &ref.Collector{Mode: ref.ModeSnapshot}
-	var box snapshotBox
-	err := ref.WithCollector(coll, func() error {
-		return gob.NewDecoder(bytes.NewReader(data)).Decode(&box)
-	})
-	if err != nil {
-		return nil, nil, err
-	}
-	return box.Anchor, coll.Decoded, nil
 }

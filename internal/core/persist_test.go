@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"fargo/internal/ids"
 	"fargo/internal/ref"
 	"fargo/internal/registry"
 	"fargo/internal/transport"
@@ -325,5 +326,98 @@ func TestRestoreBadEntryIsAtomic(t *testing.T) {
 	}
 	if _, ok := a2.Lookup("the-msg"); ok {
 		t.Fatal("name binding installed from a rejected checkpoint")
+	}
+}
+
+// The checkpoint shapes written before checkpoint entries became bundle
+// entries and snapshots used the closure box: the file's entries were
+// oldCheckpointEntry, each closure an oldSnapshotBox.
+type (
+	oldCheckpointEntry struct {
+		ID       ids.CompletID
+		TypeName string
+		Payload  []byte
+	}
+	oldSnapshotBox struct {
+		Anchor any
+	}
+	oldCheckpointFile struct {
+		Magic      string
+		Core       ids.CoreID
+		MaxSeq     uint64
+		Entries    []oldCheckpointEntry
+		Names      map[string]ref.Descriptor
+		JournalSeq uint64
+	}
+)
+
+// TestRestoreReadsOldCheckpointShape restores a checkpoint written in the
+// old shapes: state, relocator, owner and names all survive.
+func TestRestoreReadsOldCheckpointShape(t *testing.T) {
+	cl := newCluster(t, "a")
+	a := cl.core("a")
+	msgRef, err := a.NewComplet("Msg", "old")
+	if err != nil {
+		t.Fatal(err)
+	}
+	invoke1(t, msgRef, "Print") // Count = 1
+	h, err := a.NewComplet("Holder", "h")
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := h.Invoke("SetOut", msgRef); err != nil {
+		t.Fatal(err)
+	}
+	setRelocator(t, a, h, ref.Pull{})
+	desc, err := msgRef.Descriptor()
+	if err != nil {
+		t.Fatal(err)
+	}
+	file := oldCheckpointFile{
+		Magic:  checkpointMagic,
+		Core:   a.ID(),
+		MaxSeq: 2,
+		Names:  map[string]ref.Descriptor{"the-msg": desc},
+	}
+	for _, e := range a.hosted() {
+		var payload bytes.Buffer
+		err := ref.WithCollector(&ref.Collector{Mode: ref.ModeSnapshot}, func() error {
+			return gob.NewEncoder(&payload).Encode(oldSnapshotBox{Anchor: e.anchor})
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		file.Entries = append(file.Entries, oldCheckpointEntry{ID: e.id, TypeName: e.typeName, Payload: payload.Bytes()})
+	}
+	var buf bytes.Buffer
+	if err := gob.NewEncoder(&buf).Encode(file); err != nil {
+		t.Fatal(err)
+	}
+
+	a2 := restartCore(t, cl, "a")
+	n, err := a2.Restore(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n != 2 {
+		t.Fatalf("restored %d complets, want 2", n)
+	}
+	restored, ok := a2.Lookup("the-msg")
+	if !ok {
+		t.Fatal("name binding lost")
+	}
+	if got := invoke1(t, restored, "Calls"); got != 1 {
+		t.Fatalf("Calls = %v, want 1", got)
+	}
+	entry, ok := a2.lookup(h.Target())
+	if !ok {
+		t.Fatal("holder not restored")
+	}
+	out := entry.anchor.(*holder).Out
+	if kind := out.Meta().Relocator().Kind(); kind != "pull" {
+		t.Fatalf("relocator = %q, want pull", kind)
+	}
+	if owner := out.Owner(); owner != h.Target() {
+		t.Fatalf("owner = %v, want %v", owner, h.Target())
 	}
 }

@@ -275,7 +275,6 @@ func (c *Core) resolveUnknownOutcome(dest ids.CoreID, epoch uint64, root ids.Com
 func (c *Core) finishResolvedMove(pm *pendingMove, installed bool) error {
 	pm.resolving.Lock()
 	defer pm.resolving.Unlock()
-	homeTracking := c.homeTrackingEnabled()
 	if installed {
 		settled, err := c.settleMove(pm.epoch, journal.OpCommit)
 		if err != nil || !settled {
@@ -283,9 +282,6 @@ func (c *Core) finishResolvedMove(pm *pendingMove, installed bool) error {
 		}
 		for _, id := range pm.complets {
 			c.releaseRecovered(id, pm.dest)
-			if homeTracking && id.Birth == c.id {
-				c.homes.set(id, pm.dest)
-			}
 		}
 		c.flight.Record(flight.Event{
 			Kind:    flight.KindMoveRecovered,
@@ -300,7 +296,7 @@ func (c *Core) finishResolvedMove(pm *pendingMove, installed bool) error {
 	if err != nil || !settled {
 		return err
 	}
-	if homeTracking {
+	if c.homeTrackingEnabled() {
 		for _, id := range pm.complets {
 			if _, hosted := c.lookup(id); hosted {
 				c.reportHome(id)
@@ -520,11 +516,12 @@ func (c *Core) reinstallMissingLocked() ([]ids.CompletID, error) {
 }
 
 // reinstallFromRecord re-activates the non-duplicate complets of one INSTALL
-// record from its journaled bundle payload. Complets already hosted (e.g.
-// restored from a newer checkpoint) are left untouched — their state is
-// fresher than the bundle's. References decoded as duplicate or stamp
-// degrade to plain links (the original install's fresh copy identities are
-// gone); continuations do not re-run.
+// record from its journaled bundle payload, through the arrival step a live
+// bundle takes. Complets already hosted (e.g. restored from a newer
+// checkpoint) are left untouched — their state is fresher than the bundle's.
+// References decoded as duplicate or stamp degrade to plain links (the
+// original install's fresh copy identities are gone); no movement callback
+// and no continuation re-runs.
 func (c *Core) reinstallFromRecord(rec *journal.Record) ([]ids.CompletID, error) {
 	var req wire.MoveRequest
 	if err := wire.DecodePayload(rec.Payload, &req); err != nil {
@@ -534,49 +531,40 @@ func (c *Core) reinstallFromRecord(rec *journal.Record) ([]ids.CompletID, error)
 	for _, id := range rec.Complets {
 		moved[id] = true
 	}
-	homeTracking := c.homeTrackingEnabled()
-	var installed []ids.CompletID
-	byIndex := make(map[int]ids.CompletID, len(req.Entries))
-	for i, e := range req.Entries {
+	var missing []wire.BundleEntry
+	for _, e := range req.Entries {
 		if e.Dup || !moved[e.ID] {
 			continue
 		}
-		byIndex[i] = e.ID
-		if _, hosted := c.lookup(e.ID); hosted {
-			continue
+		if _, hosted := c.lookup(e.ID); !hosted {
+			missing = append(missing, e)
 		}
-		anchor, refs, err := wire.DecodeClosure(e.Payload)
-		if err != nil {
-			return installed, fmt.Errorf("decode %s (%s): %w", e.ID, e.TypeName, err)
-		}
-		for _, r := range refs {
-			r.SetOwner(e.ID)
-		}
-		c.bindDecoded(refs)
-		c.install(e.ID, e.TypeName, anchor, &req)
-		installed = append(installed, e.ID)
-		if homeTracking {
-			c.reportHome(e.ID)
-		}
+	}
+	arrived, err := decodeArrivals(missing)
+	if err != nil {
+		return nil, err
+	}
+	c.arrive(arrived, &req)
+	installed := make([]ids.CompletID, 0, len(arrived))
+	for _, a := range arrived {
+		installed = append(installed, a.id)
 		c.flight.Record(flight.Event{
 			Kind:    flight.KindMoveRecovered,
-			Complet: e.ID.String(),
+			Complet: a.id.String(),
 			Peer:    rec.Source.String(),
 			Detail:  fmt.Sprintf("re-installed from journal (epoch %d)", rec.Epoch),
 		})
-		c.mon.fireBuiltin(EventCompletArrived, e.ID, "recovery")
+		c.mon.fireBuiltin(EventCompletArrived, a.id, "recovery")
 	}
 	// Re-register the bundle's carried names for entries that live here.
 	for name, idx := range req.Names {
-		id, ok := byIndex[idx]
-		if !ok {
+		if idx < 0 || idx >= len(req.Entries) {
 			continue
 		}
-		if _, hosted := c.lookup(id); !hosted {
-			continue
+		e := req.Entries[idx]
+		if _, hosted := c.lookup(e.ID); !e.Dup && moved[e.ID] && hosted {
+			c.setLocalName(name, ref.New(e.ID, e.TypeName, c.id, c.binder()))
 		}
-		typeName := req.Entries[idx].TypeName
-		c.setLocalName(name, ref.New(id, typeName, c.id, c.binder()))
 	}
 	return installed, nil
 }
@@ -649,7 +637,6 @@ func (c *Core) Recover(ctx context.Context) (RecoveryReport, error) {
 	}
 	c.recMu.Unlock()
 
-	homeTracking := c.homeTrackingEnabled()
 	departedIDs := make([]ids.CompletID, 0, len(departed))
 	for id := range departed {
 		departedIDs = append(departedIDs, id)
@@ -666,9 +653,6 @@ func (c *Core) Recover(ctx context.Context) (RecoveryReport, error) {
 				Detail:  "journal committed; stale local copy released",
 			})
 			c.bumpRecovered(1, 0)
-		}
-		if homeTracking && id.Birth == c.id {
-			c.homes.set(id, dest)
 		}
 	}
 
@@ -695,10 +679,14 @@ func (c *Core) Recover(ctx context.Context) (RecoveryReport, error) {
 }
 
 // releaseRecovered removes a complet whose move the journal (or a probe)
-// proved committed: the local copy — if any — is released and the tracker
-// repointed at the destination. Reports whether a live local copy was
-// actually released.
+// proved committed: the local copy — if any — departs through the step a
+// committed move takes (depart); the tracker, and the home entry when this
+// core is the complet's home, point at the destination. Reports whether a
+// live local copy was actually released.
 func (c *Core) releaseRecovered(id ids.CompletID, dest ids.CoreID) bool {
+	if id.Birth == c.id && c.homeTrackingEnabled() {
+		c.homes.set(id, dest)
+	}
 	entry, ok := c.lookup(id)
 	if !ok {
 		// No local copy; still repair the chain to point at the survivor.
@@ -710,12 +698,7 @@ func (c *Core) releaseRecovered(id ids.CompletID, dest ids.CoreID) bool {
 		entry.moveMu.Unlock()
 		return false
 	}
-	c.remove(entry, dest) // under the W-lock, as in moveLocal
-	entry.moveMu.Unlock()
-	if cb, ok := entry.anchor.(PostDeparture); ok {
-		cb.PostDeparture(dest)
-	}
-	c.mon.fireBuiltin(EventCompletDeparted, id, dest.String())
+	c.depart([]*complet{entry}, dest)
 	return true
 }
 
@@ -745,24 +728,12 @@ func (c *Core) PendingMoves() int {
 	return len(c.pendingOut)
 }
 
-// hasInstallRec reports whether the journal's final word is that the complet
-// arrived here (Restore uses it to reconcile with recovery re-installs).
-func (c *Core) hasInstallRec(id ids.CompletID) bool {
-	c.recMu.Lock()
-	defer c.recMu.Unlock()
-	_, ok := c.installRecs[id]
-	return ok
-}
-
-// installRecSupersedes reports whether the journal holds an INSTALL
-// disposition for the complet that was appended at or after a checkpoint's
-// JournalSeq — i.e. the complet arrived here AFTER the checkpoint was taken,
-// so the journaled bundle payload, not the (older) checkpoint entry, carries
-// its freshest state. Restore skips such entries and lets Recover re-install
-// them from the journal.
-func (c *Core) installRecSupersedes(id ids.CompletID, ckptSeq uint64) bool {
+// journaledArrival reports whether the journal's final word is that the
+// complet arrived here, and the position of that INSTALL record in the
+// journal (Restore orders it against a checkpoint's JournalSeq).
+func (c *Core) journaledArrival(id ids.CompletID) (at uint64, ok bool) {
 	c.recMu.Lock()
 	defer c.recMu.Unlock()
 	ir, ok := c.installRecs[id]
-	return ok && ir.at >= ckptSeq
+	return ir.at, ok
 }

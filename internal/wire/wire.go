@@ -179,8 +179,10 @@ type InvokeReply struct {
 	Hops int
 }
 
-// BundleEntry is one complet travelling in a movement bundle: its identity,
-// anchor type, and closure encoded under a ModeMove collector.
+// BundleEntry is one complet travelling in a movement bundle, or stored in a
+// checkpoint: its identity, anchor type, and closure (EncodeClosureWith:
+// ModeMove for a moved complet, ModeParam for a copy, ModeSnapshot in a
+// checkpoint).
 type BundleEntry struct {
 	ID       ids.CompletID
 	TypeName string
@@ -670,32 +672,23 @@ func DecodePayload(data []byte, into any) error {
 // (§3.1). It returns the encoded bytes and the references encountered during
 // traversal (the invocation unit profiles and validates them).
 func EncodeArgs(args []any) ([]byte, []*ref.Ref, error) {
-	RegisterWireTypes()
 	c := &ref.Collector{Mode: ref.ModeParam}
-	buf := GetBuffer()
-	defer PutBuffer(buf)
-	err := ref.WithCollector(c, func() error {
-		return gob.NewEncoder(buf).Encode(argsVector{Args: args})
-	})
+	data, err := encodeWith(c, argsVector{Args: args})
 	if err != nil {
 		return nil, nil, fmt.Errorf("wire: encode args: %w", err)
 	}
-	return append([]byte(nil), buf.Bytes()...), c.Encountered, nil
+	return data, c.Encountered, nil
 }
 
 // DecodeArgs decodes an argument vector, returning the values and the
 // references materialized during decoding so the runtime can bind them.
 func DecodeArgs(data []byte) ([]any, []*ref.Ref, error) {
-	RegisterWireTypes()
-	c := &ref.Collector{Mode: ref.ModeParam}
 	var v argsVector
-	err := ref.WithCollector(c, func() error {
-		return gob.NewDecoder(bytes.NewReader(data)).Decode(&v)
-	})
+	refs, err := decodeWith(data, &v)
 	if err != nil {
 		return nil, nil, fmt.Errorf("wire: decode args: %w", err)
 	}
-	return v.Args, c.Decoded, nil
+	return v.Args, refs, nil
 }
 
 // argsVector wraps the []any so gob has a concrete top-level type.
@@ -703,53 +696,65 @@ type argsVector struct {
 	Args []any
 }
 
-// DeepCopyArgs copies an argument vector by value, preserving the paper's
-// invocation semantics between co-located complets: complets are always
-// remote to each other with respect to parameter passing (§2), so even a
-// local invocation receives deep copies. References survive the copy (and
-// are returned for re-binding by the caller).
-func DeepCopyArgs(args []any) ([]any, []*ref.Ref, error) {
-	data, _, err := EncodeArgs(args)
-	if err != nil {
-		return nil, nil, err
-	}
-	return DecodeArgs(data)
-}
-
 // EncodeClosure encodes a complet anchor's object graph for movement, under
 // a ModeMove collector built from the given context. It returns the bytes
 // and the collector (holding scheduled pulls/duplicates and encountered
 // references).
 func EncodeClosure(anchor any, move ref.MoveContext, targetLocal func(ids.CompletID) bool) ([]byte, *ref.Collector, error) {
-	RegisterWireTypes()
 	c := &ref.Collector{Mode: ref.ModeMove, Move: move, TargetLocal: targetLocal}
-	buf := GetBuffer()
-	defer PutBuffer(buf)
-	err := ref.WithCollector(c, func() error {
-		return gob.NewEncoder(buf).Encode(closureBox{Anchor: anchor})
-	})
+	data, err := EncodeClosureWith(c, anchor)
+	return data, c, err
+}
+
+// EncodeClosureWith is the closure codec: it encodes a complet anchor's
+// object graph under the collector c, whose mode decides what each reference
+// becomes — ModeMove applies its relocator (a moved closure), ModeParam
+// degrades it to a link (a copy), ModeSnapshot keeps it verbatim (a
+// checkpoint). DecodeClosure decodes all three.
+func EncodeClosureWith(c *ref.Collector, anchor any) ([]byte, error) {
+	data, err := encodeWith(c, closureBox{Anchor: anchor})
 	if err != nil {
-		return nil, nil, fmt.Errorf("wire: encode closure of %s: %w", move.Source, err)
+		return nil, fmt.Errorf("wire: encode closure: %w", err)
 	}
-	return append([]byte(nil), buf.Bytes()...), c, nil
+	return data, nil
 }
 
 // DecodeClosure decodes a complet closure at the receiving core. It returns
 // the anchor and the references that must be bound.
 func DecodeClosure(data []byte) (any, []*ref.Ref, error) {
-	RegisterWireTypes()
-	c := &ref.Collector{Mode: ref.ModeParam}
 	var box closureBox
-	err := ref.WithCollector(c, func() error {
-		return gob.NewDecoder(bytes.NewReader(data)).Decode(&box)
-	})
+	refs, err := decodeWith(data, &box)
 	if err != nil {
 		return nil, nil, fmt.Errorf("wire: decode closure: %w", err)
 	}
-	return box.Anchor, c.Decoded, nil
+	return box.Anchor, refs, nil
 }
 
-// closureBox wraps the anchor so gob transmits its dynamic type.
+// encodeWith gob-encodes v with c as the codec context of the references
+// inside it. Scratch space comes from the buffer pool; only an exact-size
+// copy of the result is allocated.
+func encodeWith(c *ref.Collector, v any) ([]byte, error) {
+	RegisterWireTypes()
+	buf := GetBuffer()
+	defer PutBuffer(buf)
+	if err := ref.WithCollector(c, func() error { return gob.NewEncoder(buf).Encode(v) }); err != nil {
+		return nil, err
+	}
+	return append([]byte(nil), buf.Bytes()...), nil
+}
+
+// decodeWith gob-decodes data into v and returns the references it
+// materialized, for the runtime to bind.
+func decodeWith(data []byte, v any) ([]*ref.Ref, error) {
+	RegisterWireTypes()
+	c := &ref.Collector{Mode: ref.ModeParam}
+	err := ref.WithCollector(c, func() error { return gob.NewDecoder(bytes.NewReader(data)).Decode(v) })
+	return c.Decoded, err
+}
+
+// closureBox wraps the anchor so gob transmits its dynamic type. gob matches
+// the box by its field name, so checkpoints written with an older box type of
+// the same shape still decode.
 type closureBox struct {
 	Anchor any
 }

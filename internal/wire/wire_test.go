@@ -249,10 +249,20 @@ func TestEncodeArgsRefInsideStruct(t *testing.T) {
 	}
 }
 
+// deepCopyArgs passes an argument vector by value the way every invocation
+// does, co-located ones included (§2): encode, then decode.
+func deepCopyArgs(args []any) ([]any, []*ref.Ref, error) {
+	data, _, err := EncodeArgs(args)
+	if err != nil {
+		return nil, nil, err
+	}
+	return DecodeArgs(data)
+}
+
 func TestDeepCopyArgsIsolation(t *testing.T) {
 	registerTestTypes()
 	orig := payloadNested{Label: "orig", Values: []float64{1, 2}, Table: map[string]int{"k": 1}}
-	copies, refs, err := DeepCopyArgs([]any{orig})
+	copies, refs, err := deepCopyArgs([]any{orig})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -276,7 +286,7 @@ func TestDeepCopyDoesNotCopyComplets(t *testing.T) {
 	// the complet itself must not be duplicated by parameter passing.
 	b := &testBinder{core: "core-a"}
 	r := ref.New(cid(5), "Shared", "core-a", b)
-	copies, decoded, err := DeepCopyArgs([]any{holder{R: r}})
+	copies, decoded, err := deepCopyArgs([]any{holder{R: r}})
 	if err != nil {
 		t.Fatal(err)
 	}
