@@ -265,6 +265,11 @@ func (c *Core) serveInvoke(ctx context.Context, req wire.InvokeRequest) (wire.In
 // shortening tracker chains (used by MetaRef.Location and the movement
 // protocol). hops counts the chain hops the query has already travelled.
 func (c *Core) locate(ctx context.Context, target ids.CompletID, hint ids.CoreID, hops int, opts ref.CallOptions) (ids.CoreID, error) {
+	// walk's repair through the home core recovers a dead hop, as for move
+	// and clone; only a caller's own attempt budget retries it first.
+	if opts.MaxAttempts == 0 {
+		opts.NoRetry = true
+	}
 	_, loc, err := walk(ctx, c, target, hint, hops, "locate", "",
 		func(*complet) (struct{}, error) { return struct{}{}, nil },
 		func(next ids.CoreID, hops int) (struct{}, ids.CoreID, error) {

@@ -163,7 +163,8 @@ func TestChainRepairViaFaultyPartition(t *testing.T) {
 
 // TestChainRepairHealsRouting routes each non-invoke operation through the
 // stale chain with the middle hop dead: the chain walk repairs every routed
-// operation the same way, through the home core, once.
+// operation the same way, through the home core, once, without retrying the
+// dead hop first.
 func TestChainRepairHealsRouting(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -201,8 +202,14 @@ func TestChainRepairHealsRouting(t *testing.T) {
 			if err := cl.net.StopHost("b"); err != nil {
 				t.Fatal(err)
 			}
+			retries := a.met.retries.Value()
 			if err := tc.run(a, id); err != nil {
 				t.Fatalf("%s through dead chain hop: %v", tc.name, err)
+			}
+			// The repair is the recovery: no attempt is spent retrying
+			// the dead hop first.
+			if n := a.met.retries.Value() - retries; n != 0 {
+				t.Fatalf("%s retried the dead hop %d times before repairing", tc.name, n)
 			}
 			if tc.name != "move" {
 				if loc, _ := a.TrackerTarget(id); loc != "c" {

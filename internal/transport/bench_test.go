@@ -15,7 +15,7 @@ func benchEcho(_ context.Context, env wire.Envelope) (wire.Kind, []byte, error) 
 }
 
 // BenchmarkTCPRequestReply measures one full request/reply round trip over
-// loopback TCP with streaming codec sessions.
+// loopback TCP, one framed envelope record each way.
 func BenchmarkTCPRequestReply(b *testing.B) {
 	book := NewAddrBook(nil)
 	ta, err := NewTCP("core-a", "127.0.0.1:0", book)
@@ -34,7 +34,7 @@ func BenchmarkTCPRequestReply(b *testing.B) {
 }
 
 // BenchmarkSimRequestReply measures the same round trip over the simulated
-// network's self-framed message path.
+// network, one envelope record per message.
 func BenchmarkSimRequestReply(b *testing.B) {
 	net := netsim.NewNetwork(1)
 	defer net.Close()
@@ -57,7 +57,7 @@ func runRequestReply(b *testing.B, a, peer Transport) {
 	peer.SetHandler(benchEcho)
 	payload := make([]byte, 128)
 	ctx := context.Background()
-	// Warm the connection (and its codec session) outside the timed loop.
+	// Warm the connection outside the timed loop.
 	if _, err := a.Request(ctx, ids.CoreID("core-b"), wire.KindPing, payload); err != nil {
 		b.Fatal(err)
 	}

@@ -4,8 +4,6 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"log"
-	"sync"
 
 	"fargo/internal/ids"
 	"fargo/internal/netsim"
@@ -13,30 +11,16 @@ import (
 )
 
 // Sim is a Transport over the netsim simulated network. One Sim wraps one
-// netsim host; core IDs double as host names.
-//
-// Unlike TCP, Sim deliberately keeps SELF-FRAMED messages (each envelope
-// carries its own codec state) instead of streaming sessions: netsim is
-// message-granular, and hosts can be removed and re-added (core restarts)
-// which would desync a streaming session's descriptor state. Send buffers
-// come from the wire buffer pool — netsim copies payloads on Send, so the
-// buffer is returned immediately and steady-state sends allocate nothing.
+// netsim host; core IDs double as host names. Each envelope travels as one
+// netsim message holding its record.
 type Sim struct {
-	txMetricsHolder
+	endpoint
 
-	self    ids.CoreID
-	net     *netsim.Network
-	host    *netsim.Host
-	pending *pending
-
-	mu      sync.Mutex
-	handler Handler
-	closed  bool
-	logf    func(format string, args ...any)
+	net  *netsim.Network
+	host *netsim.Host
 
 	quit chan struct{}
 	done chan struct{}
-	wg   sync.WaitGroup // handler goroutines
 }
 
 var _ Transport = (*Sim)(nil)
@@ -50,77 +34,44 @@ func NewSim(net *netsim.Network, self ids.CoreID) (*Sim, error) {
 		return nil, fmt.Errorf("sim transport: %w", err)
 	}
 	s := &Sim{
-		self:    self,
-		net:     net,
-		host:    host,
-		pending: newPending(),
-		logf:    log.Printf,
-		quit:    make(chan struct{}),
-		done:    make(chan struct{}),
+		endpoint: newEndpoint(self),
+		net:      net,
+		host:     host,
+		quit:     make(chan struct{}),
+		done:     make(chan struct{}),
 	}
+	s.reply = s.sendEnv
 	go s.pump()
 	return s, nil
 }
 
-// sendEnv marshals the envelope self-framed into a pooled buffer and hands
-// it to the simulated host. netsim copies the payload, so the buffer is
-// recycled before returning; the bytes shipped are reported for metrics.
-func (s *Sim) sendEnv(to ids.CoreID, env *wire.Envelope) (int, error) {
+// sendEnv builds the envelope's record in a pooled buffer and hands it to
+// the simulated host, which copies it, so the buffer is recycled before
+// returning.
+func (s *Sim) sendEnv(to ids.CoreID, env *wire.Envelope) error {
 	buf := wire.GetBuffer()
 	defer wire.PutBuffer(buf)
-	if err := wire.Gob.MarshalEnvelope(env, buf); err != nil {
-		return 0, err
-	}
+	buf.Write(wire.AppendEnvelope(buf.AvailableBuffer(), env))
 	if err := s.host.Send(to.String(), buf.Bytes()); err != nil {
-		return 0, err
+		return err
 	}
-	return buf.Len(), nil
-}
-
-// Self implements Transport.
-func (s *Sim) Self() ids.CoreID { return s.self }
-
-// SetHandler implements Transport.
-func (s *Sim) SetHandler(h Handler) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.handler = h
-}
-
-// SetLogf implements LogfSetter.
-func (s *Sim) SetLogf(logf func(format string, args ...any)) {
-	if logf == nil {
-		logf = log.Printf
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.logf = logf
-}
-
-func (s *Sim) logfFn() func(format string, args ...any) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.logf
+	s.metrics().sent(buf.Len())
+	return nil
 }
 
 // Request implements Transport.
 func (s *Sim) Request(ctx context.Context, to ids.CoreID, kind wire.Kind, payload []byte) (wire.Envelope, error) {
-	s.mu.Lock()
-	closed := s.closed
-	s.mu.Unlock()
-	if closed {
+	if s.isClosed() {
 		return wire.Envelope{}, ErrClosed
 	}
 	id, ch := s.pending.register()
 	env := wire.Envelope{From: s.self, Req: id, Kind: kind, Payload: payload}
 	stampDeadline(ctx, &env)
 	stampTrace(ctx, &env)
-	n, err := s.sendEnv(to, &env)
-	if err != nil {
+	if err := s.sendEnv(to, &env); err != nil {
 		s.pending.cancel(id)
 		return wire.Envelope{}, fmt.Errorf("sim transport: send to %s: %w", to, err)
 	}
-	s.metrics().sent(n)
 	select {
 	case reply := <-ch:
 		if err := CheckReply(reply); err != nil {
@@ -138,18 +89,13 @@ func (s *Sim) Request(ctx context.Context, to ids.CoreID, kind wire.Kind, payloa
 
 // Notify implements Transport.
 func (s *Sim) Notify(to ids.CoreID, kind wire.Kind, payload []byte) error {
-	s.mu.Lock()
-	closed := s.closed
-	s.mu.Unlock()
-	if closed {
+	if s.isClosed() {
 		return ErrClosed
 	}
 	env := wire.Envelope{From: s.self, Kind: kind, Payload: payload}
-	n, err := s.sendEnv(to, &env)
-	if err != nil {
+	if err := s.sendEnv(to, &env); err != nil {
 		return fmt.Errorf("sim transport: notify %s: %w", to, err)
 	}
-	s.metrics().sent(n)
 	return nil
 }
 
@@ -160,7 +106,7 @@ func (s *Sim) pump() {
 		select {
 		case msg := <-s.host.Recv():
 			s.metrics().recv(len(msg.Payload))
-			env, err := wire.Gob.UnmarshalEnvelope(msg.Payload)
+			env, err := wire.ReadEnvelope(msg.Payload)
 			if err != nil {
 				s.logfFn()("fargo sim transport %s: dropping undecodable message from %s: %v", s.self, msg.From, err)
 				continue
@@ -170,52 +116,6 @@ func (s *Sim) pump() {
 			return
 		}
 	}
-}
-
-func (s *Sim) dispatch(env wire.Envelope) {
-	if env.IsReply {
-		s.pending.complete(env)
-		return
-	}
-	s.mu.Lock()
-	h := s.handler
-	s.mu.Unlock()
-	s.wg.Add(1)
-	go func() {
-		defer s.wg.Done()
-		s.serve(h, env)
-	}()
-}
-
-// serve runs the handler for one request and sends the reply (for correlated
-// requests only; notifications carry Req == 0).
-func (s *Sim) serve(h Handler, env wire.Envelope) {
-	var (
-		kind    wire.Kind
-		payload []byte
-		err     error
-	)
-	if h == nil {
-		err = ErrNoHandler
-	} else {
-		ctx, cancel := handlerContext(env)
-		kind, payload, err = h(ctx, env)
-		cancel()
-	}
-	if env.Req == 0 {
-		return // notification: nothing to reply to
-	}
-	if err != nil {
-		kind = wire.KindError
-		payload, _ = wire.EncodePayload(wire.ErrorReply{Msg: err.Error()})
-	}
-	reply := wire.Envelope{From: s.self, Req: env.Req, IsReply: true, Kind: kind, Payload: payload}
-	n, sendErr := s.sendEnv(env.From, &reply)
-	if sendErr != nil {
-		s.logfFn()("fargo sim transport %s: reply to %s: %v", s.self, env.From, sendErr)
-		return
-	}
-	s.metrics().sent(n)
 }
 
 // Close implements Transport. It stops the pump, waits for in-flight handler

@@ -6,7 +6,6 @@ import (
 	"errors"
 	"fmt"
 	"io"
-	"log"
 	"net"
 	"sync"
 	"time"
@@ -16,9 +15,9 @@ import (
 )
 
 // wireMagic opens every TCP connection, followed by the wire-format byte
-// (wire.GobCodecID). The preamble is read from the raw socket before any
-// session exists, so a peer speaking another format — or not speaking fargo
-// at all — is rejected before the first frame is parsed.
+// (wire.FormatID). The preamble is read from the raw socket, so a peer
+// speaking another format — or not speaking fargo at all — is rejected
+// before the first frame is parsed.
 var wireMagic = [4]byte{'F', 'G', 'W', '1'}
 
 // ErrUnknownPeer is returned when sending to a core with no known address.
@@ -65,37 +64,29 @@ func (b *AddrBook) Peers() []ids.CoreID {
 	return out
 }
 
-// TCP is a Transport over real TCP connections with length-framed envelopes
-// serialized by a streaming gob session per connection (wire.Session, so
-// type descriptors cross the wire once per peer). Outbound connections are
-// cached per peer; inbound connections open with a magic+format preamble
-// and a hello envelope identifying the dialer, and learned addresses
-// populate the address book.
+// TCP is a Transport over real TCP connections, each envelope record in one
+// length-prefixed frame (wire.Session). Outbound connections are cached per
+// peer; inbound connections open with a magic+format preamble and a hello
+// envelope identifying the dialer, and learned addresses populate the
+// address book.
 type TCP struct {
-	txMetricsHolder
+	endpoint
 
-	self    ids.CoreID
-	book    *AddrBook
-	ln      net.Listener
-	pending *pending
+	book *AddrBook
+	ln   net.Listener
 
-	mu       sync.Mutex
-	handler  Handler
-	logf     func(format string, args ...any)
+	// Guarded by endpoint.mu.
 	conns    map[ids.CoreID]*tcpConn
 	accepted map[net.Conn]struct{}
 	// inflight tracks which connection each outstanding request was sent
 	// on, so requests fail fast when that connection drops instead of
 	// waiting for their context deadline.
 	inflight map[*tcpConn]map[ids.RequestID]struct{}
-	closed   bool
-
-	wg sync.WaitGroup
 }
 
 var _ Transport = (*TCP)(nil)
 
-// tcpConn is one outbound connection and its codec session, with a write
+// tcpConn is one outbound connection and its framing session, with a write
 // lock (frames must not interleave).
 type tcpConn struct {
 	mu   sync.Mutex
@@ -103,8 +94,8 @@ type tcpConn struct {
 	sess *wire.Session
 }
 
-// writeEnv appends one envelope to the connection's session stream and
-// returns the bytes written.
+// writeEnv writes one framed envelope to the connection and returns the
+// bytes written.
 func (c *tcpConn) writeEnv(env *wire.Envelope) (int, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -122,14 +113,16 @@ func NewTCP(self ids.CoreID, listenAddr string, book *AddrBook) (*TCP, error) {
 		return nil, fmt.Errorf("tcp transport: listen %s: %w", listenAddr, err)
 	}
 	t := &TCP{
-		self:     self,
+		endpoint: newEndpoint(self),
 		book:     book,
 		ln:       ln,
-		pending:  newPending(),
-		logf:     log.Printf,
 		conns:    make(map[ids.CoreID]*tcpConn),
 		accepted: make(map[net.Conn]struct{}),
 		inflight: make(map[*tcpConn]map[ids.RequestID]struct{}),
+	}
+	t.reply = func(to ids.CoreID, env *wire.Envelope) error {
+		_, err := t.send(to, env)
+		return err
 	}
 	t.wg.Add(1)
 	go t.acceptLoop()
@@ -141,32 +134,6 @@ func (t *TCP) Addr() string { return t.ln.Addr().String() }
 
 // Book returns the transport's address book.
 func (t *TCP) Book() *AddrBook { return t.book }
-
-// Self implements Transport.
-func (t *TCP) Self() ids.CoreID { return t.self }
-
-// SetHandler implements Transport.
-func (t *TCP) SetHandler(h Handler) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.handler = h
-}
-
-// SetLogf implements LogfSetter.
-func (t *TCP) SetLogf(logf func(format string, args ...any)) {
-	if logf == nil {
-		logf = log.Printf
-	}
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	t.logf = logf
-}
-
-func (t *TCP) logfFn() func(format string, args ...any) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.logf
-}
 
 func (t *TCP) acceptLoop() {
 	defer t.wg.Done()
@@ -196,7 +163,7 @@ type hello struct {
 }
 
 // readLoop consumes envelopes from one inbound connection: preamble
-// (magic + format byte), then a session whose first envelope must be the
+// (magic + format byte), then frames whose first envelope must be the
 // hello.
 func (t *TCP) readLoop(c net.Conn) {
 	defer t.wg.Done()
@@ -215,7 +182,7 @@ func (t *TCP) readLoop(c net.Conn) {
 		t.logfFn()("fargo tcp %s: bad preamble from %s", t.self, c.RemoteAddr())
 		return
 	}
-	if pre[4] != wire.GobCodecID {
+	if pre[4] != wire.FormatID {
 		t.logfFn()("fargo tcp %s: unknown wire format %q from %s", t.self, pre[4], c.RemoteAddr())
 		return
 	}
@@ -239,14 +206,12 @@ func (t *TCP) readLoop(c net.Conn) {
 	}
 
 	for {
-		// Fresh envelope each message: gob does not clear fields absent
-		// from the wire, so reuse would leak state across messages.
 		var env wire.Envelope
 		n, err := sess.DecodeEnvelope(&env)
 		if err != nil {
-			// A decode error leaves the session stream in an undefined
-			// position, so the connection is dropped rather than resumed;
-			// the dialer redials with a fresh session.
+			// A framing or decode error leaves the stream at an unknown
+			// offset, so the connection is dropped rather than resumed;
+			// the dialer redials.
 			if !errors.Is(err, io.EOF) && !t.isClosed() {
 				t.logfFn()("fargo tcp %s: read from %s: %v", t.self, h.From, err)
 			}
@@ -254,57 +219,6 @@ func (t *TCP) readLoop(c net.Conn) {
 		}
 		t.metrics().recv(n)
 		t.dispatch(env)
-	}
-}
-
-func (t *TCP) isClosed() bool {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.closed
-}
-
-func (t *TCP) dispatch(env wire.Envelope) {
-	if env.IsReply {
-		t.pending.complete(env)
-		return
-	}
-	t.mu.Lock()
-	h := t.handler
-	closed := t.closed
-	t.mu.Unlock()
-	if closed {
-		return
-	}
-	t.wg.Add(1)
-	go func() {
-		defer t.wg.Done()
-		t.serve(h, env)
-	}()
-}
-
-func (t *TCP) serve(h Handler, env wire.Envelope) {
-	var (
-		kind    wire.Kind
-		payload []byte
-		err     error
-	)
-	if h == nil {
-		err = ErrNoHandler
-	} else {
-		ctx, cancel := handlerContext(env)
-		kind, payload, err = h(ctx, env)
-		cancel()
-	}
-	if env.Req == 0 {
-		return
-	}
-	if err != nil {
-		kind = wire.KindError
-		payload, _ = wire.EncodePayload(wire.ErrorReply{Msg: err.Error()})
-	}
-	reply := wire.Envelope{From: t.self, Req: env.Req, IsReply: true, Kind: kind, Payload: payload}
-	if _, err := t.send(env.From, reply); err != nil && !t.isClosed() {
-		t.logfFn()("fargo tcp %s: reply to %s: %v", t.self, env.From, err)
 	}
 }
 
@@ -324,7 +238,7 @@ func (t *TCP) Request(ctx context.Context, to ids.CoreID, kind wire.Kind, payloa
 	env := wire.Envelope{From: t.self, Req: id, Kind: kind, Payload: payload}
 	stampDeadline(ctx, &env)
 	stampTrace(ctx, &env)
-	conn, err := t.send(to, env)
+	conn, err := t.send(to, &env)
 	if err != nil {
 		t.pending.cancel(id)
 		return wire.Envelope{}, err
@@ -368,27 +282,27 @@ func (t *TCP) Notify(to ids.CoreID, kind wire.Kind, payload []byte) error {
 	if t.isClosed() {
 		return ErrClosed
 	}
-	_, err := t.send(to, wire.Envelope{From: t.self, Kind: kind, Payload: payload})
+	_, err := t.send(to, &wire.Envelope{From: t.self, Kind: kind, Payload: payload})
 	return err
 }
 
 // send writes an envelope to the peer over the cached (or freshly dialed)
-// connection's session and returns the connection used. On a write error the
-// connection is dropped and one redial is attempted (a fresh connection gets
-// a fresh session), masking stale connections after a peer restart.
-func (t *TCP) send(to ids.CoreID, env wire.Envelope) (*tcpConn, error) {
+// connection and returns the connection used. On a write error the
+// connection is dropped and one redial is attempted, masking stale
+// connections after a peer restart.
+func (t *TCP) send(to ids.CoreID, env *wire.Envelope) (*tcpConn, error) {
 	conn, err := t.conn(to)
 	if err != nil {
 		return nil, err
 	}
-	n, werr := conn.writeEnv(&env)
+	n, werr := conn.writeEnv(env)
 	if werr != nil {
 		t.dropConn(to, conn)
 		conn, err2 := t.conn(to)
 		if err2 != nil {
 			return nil, fmt.Errorf("tcp transport: send to %s: %w", to, werr)
 		}
-		n, err2 = conn.writeEnv(&env)
+		n, err2 = conn.writeEnv(env)
 		if err2 != nil {
 			t.dropConn(to, conn)
 			return nil, fmt.Errorf("tcp transport: send to %s after redial: %w", to, err2)
@@ -422,8 +336,8 @@ func (t *TCP) conn(to ids.CoreID) (*tcpConn, error) {
 		return nil, fmt.Errorf("tcp transport: dial %s (%s): %w", to, addr, err)
 	}
 
-	// Preamble on the raw socket, then a codec session for everything else.
-	pre := [5]byte{wireMagic[0], wireMagic[1], wireMagic[2], wireMagic[3], wire.GobCodecID}
+	// Preamble on the raw socket, then framed envelopes for everything else.
+	pre := [5]byte{wireMagic[0], wireMagic[1], wireMagic[2], wireMagic[3], wire.FormatID}
 	if _, err := raw.Write(pre[:]); err != nil {
 		raw.Close()
 		return nil, fmt.Errorf("tcp transport: preamble to %s: %w", to, err)
@@ -465,7 +379,7 @@ func (t *TCP) conn(to ids.CoreID) (*tcpConn, error) {
 			var env wire.Envelope
 			n, err := c.sess.DecodeEnvelope(&env)
 			if err != nil {
-				// EOF or a desynced stream either way: drop the
+				// EOF or a broken stream either way: drop the
 				// connection and fail its in-flight requests fast.
 				t.dropConn(to, c)
 				return

@@ -2,12 +2,15 @@
 // low-level core-to-core communication that everything above it — invocation
 // forwarding, movement bundles, distributed events — rides on.
 //
-// Two interchangeable implementations are provided:
+// Every link carries the same envelope record (wire.AppendEnvelope), and
+// one endpoint (this file) correlates replies and serves requests. Two
+// interchangeable implementations differ only in how the record's bytes
+// travel:
 //
-//   - Sim: message-level transport over the netsim simulated network, used by
-//     tests and the experiment harness (deterministic latency/bandwidth).
-//   - TCP: length-framed gob envelopes over real TCP connections, used by the
-//     fargo-core daemon.
+//   - Sim: one netsim message per record, used by tests and the experiment
+//     harness (deterministic latency/bandwidth).
+//   - TCP: one length-prefixed frame per record over real TCP connections,
+//     used by the fargo-core daemon.
 //
 // Both expose the same request/response surface with correlation IDs, so the
 // core is oblivious to which one it runs on (the substitution for Java RMI;
@@ -18,6 +21,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"log"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -144,8 +148,8 @@ func (m *txMetrics) recv(bytes int) {
 	m.recvBytes.Add(uint64(bytes))
 }
 
-// txMetricsHolder is the shared SetMetrics implementation embedded by Sim and
-// TCP.
+// txMetricsHolder is the shared SetMetrics implementation, embedded in
+// endpoint.
 type txMetricsHolder struct {
 	met atomic.Pointer[txMetrics]
 }
@@ -156,6 +160,114 @@ func (h *txMetricsHolder) SetMetrics(reg *metrics.Registry) {
 }
 
 func (h *txMetricsHolder) metrics() *txMetrics { return h.met.Load() }
+
+// endpoint is the part of a transport that does not depend on how bytes
+// travel: the handler, the log sink, reply correlation and the goroutines
+// that serve requests. Sim and TCP embed it and differ only in sending and
+// receiving envelopes.
+type endpoint struct {
+	txMetricsHolder
+
+	self    ids.CoreID
+	pending *pending
+	// reply sends one envelope to a peer and counts it; the embedding
+	// transport sets it before any traffic.
+	reply func(to ids.CoreID, env *wire.Envelope) error
+
+	mu      sync.Mutex // guards handler, logf, closed and the embedder's own state
+	handler Handler
+	logf    func(format string, args ...any)
+	closed  bool
+
+	wg sync.WaitGroup // handler goroutines and the embedder's loops
+}
+
+func newEndpoint(self ids.CoreID) endpoint {
+	return endpoint{self: self, pending: newPending(), logf: log.Printf}
+}
+
+// Self implements Transport.
+func (e *endpoint) Self() ids.CoreID { return e.self }
+
+// SetHandler implements Transport.
+func (e *endpoint) SetHandler(h Handler) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.handler = h
+}
+
+// SetLogf implements LogfSetter.
+func (e *endpoint) SetLogf(logf func(format string, args ...any)) {
+	if logf == nil {
+		logf = log.Printf
+	}
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.logf = logf
+}
+
+func (e *endpoint) logfFn() func(format string, args ...any) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.logf
+}
+
+func (e *endpoint) isClosed() bool {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	return e.closed
+}
+
+// dispatch routes one received envelope: a reply completes its waiter, a
+// request or notification runs the handler on its own goroutine. A closed
+// endpoint serves nothing.
+func (e *endpoint) dispatch(env wire.Envelope) {
+	if env.IsReply {
+		e.pending.complete(env)
+		return
+	}
+	e.mu.Lock()
+	h := e.handler
+	closed := e.closed
+	e.mu.Unlock()
+	if closed {
+		return
+	}
+	e.wg.Add(1)
+	go func() {
+		defer e.wg.Done()
+		e.serve(h, env)
+	}()
+}
+
+// serve runs the handler for one request and sends the reply (for correlated
+// requests only; notifications carry Req == 0). A handler error becomes a
+// KindError reply.
+func (e *endpoint) serve(h Handler, env wire.Envelope) {
+	var (
+		kind    wire.Kind
+		payload []byte
+		err     error
+	)
+	if h == nil {
+		err = ErrNoHandler
+	} else {
+		ctx, cancel := handlerContext(env)
+		kind, payload, err = h(ctx, env)
+		cancel()
+	}
+	if env.Req == 0 {
+		return // notification: nothing to reply to
+	}
+	if err != nil {
+		kind = wire.KindError
+		payload, _ = wire.EncodePayload(wire.ErrorReply{Msg: err.Error()})
+	}
+	reply := wire.Envelope{From: e.self, Req: env.Req, IsReply: true, Kind: kind, Payload: payload}
+	if err := e.reply(env.From, &reply); err != nil && !e.isClosed() {
+		e.logfFn()("fargo transport %s: reply to %s: %v", e.self, env.From, err)
+	}
+}
 
 // LogfSetter is implemented by transports whose diagnostic output can be
 // redirected. The core threads its Options.Logf through this hook at

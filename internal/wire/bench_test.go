@@ -16,20 +16,12 @@ func benchEnvelope() Envelope {
 	}
 }
 
-// BenchmarkSessionEnvelope measures the streaming hot path: one session,
-// descriptors on the wire once, then encode+decode per op.
+// BenchmarkSessionEnvelope measures the stream hot path: one framed
+// envelope encoded and decoded per op.
 func BenchmarkSessionEnvelope(b *testing.B) {
 	env := benchEnvelope()
 	var stream bytes.Buffer
 	sess := Gob.NewSession(&stream)
-	// Prime the stream so descriptor transfer is outside the timed loop.
-	if _, err := sess.EncodeEnvelope(&env); err != nil {
-		b.Fatal(err)
-	}
-	var warm Envelope
-	if _, err := sess.DecodeEnvelope(&warm); err != nil {
-		b.Fatal(err)
-	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -40,23 +32,6 @@ func BenchmarkSessionEnvelope(b *testing.B) {
 		if _, err := sess.DecodeEnvelope(&got); err != nil {
 			b.Fatal(err)
 		}
-	}
-}
-
-// BenchmarkSelfFramedEnvelope measures the netsim regime: every message
-// carries its own descriptors, scratch space from the pool.
-func BenchmarkSelfFramedEnvelope(b *testing.B) {
-	env := benchEnvelope()
-	b.ReportAllocs()
-	for i := 0; i < b.N; i++ {
-		buf := GetBuffer()
-		if err := Gob.MarshalEnvelope(&env, buf); err != nil {
-			b.Fatal(err)
-		}
-		if _, err := Gob.UnmarshalEnvelope(buf.Bytes()); err != nil {
-			b.Fatal(err)
-		}
-		PutBuffer(buf)
 	}
 }
 

@@ -1,15 +1,19 @@
-// The gob wire format of the transports has two regimes:
+// The envelope wire format is one fixed-layout record, the same on every
+// link:
 //
-//   - Streaming sessions (Gob.NewSession) for connection-oriented transports
-//     (TCP): one long-lived encoder/decoder pair per connection, so stream
-//     state — gob's type wire descriptors — crosses the wire once per peer
-//     instead of once per message. Envelopes travel as length-prefixed frames
-//     written in a single pass and flushed explicitly.
+//	flags    1 byte   bit 0 IsReply, bit 1 Sampled; other bits must be 0
+//	kind     1 byte
+//	req      uvarint
+//	deadline varint (zig-zag)
+//	trace    uvarint
+//	span     uvarint
+//	from     uvarint length, then that many bytes
+//	payload  the rest of the record
 //
-//   - Self-contained envelopes (Gob.MarshalEnvelope/UnmarshalEnvelope) for
-//     message-granular transports (netsim): each message carries its own
-//     descriptors, because simulated hosts can be removed and re-added
-//     (core restarts) and a streaming session would desync across that.
+// A record carries no state from earlier records, so a link may drop,
+// reorder or restart without desyncing its peer. Message-granular links
+// (netsim) ship the record as is; stream links (TCP) put a 4-byte big-endian
+// length in front of it (Session).
 
 package wire
 
@@ -17,11 +21,12 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/binary"
-	"encoding/gob"
 	"errors"
 	"fmt"
 	"io"
 	"sync"
+
+	"fargo/internal/ids"
 )
 
 // MaxFrame bounds a single envelope frame (movement bundles can be large,
@@ -54,153 +59,140 @@ func PutBuffer(b *bytes.Buffer) {
 	bufPool.Put(b)
 }
 
-// --- gob codec --------------------------------------------------------------
+// --- envelope record --------------------------------------------------------
 
-// GobCodecID is the byte naming the gob wire format in the TCP connection
-// preamble; a TCP transport refuses connections that announce another.
-const GobCodecID = 'g'
+const (
+	flagReply   = 1 << 0
+	flagSampled = 1 << 1
+)
 
-// Gob is the wire format: streaming gob with length-prefixed frames.
-var Gob gobCodec
+// FormatID is the byte naming the envelope record format in the TCP
+// connection preamble; a TCP transport refuses connections that announce
+// another.
+const FormatID = 'r'
 
-type gobCodec struct{}
-
-// NewSession binds a streaming coder pair to a connection. The encoder half
-// encodes into a persistent buffer through a persistent gob.Encoder
-// (descriptors sent once per session), then writes the 4-byte big-endian
-// length header and the buffer in one buffered pass with an explicit flush.
-// The decoder half feeds a persistent gob.Decoder from a frameReader that
-// strips headers and enforces MaxFrame, so steady-state decoding allocates
-// no per-frame buffers.
-func (gobCodec) NewSession(rw io.ReadWriter) *Session {
-	RegisterWireTypes()
-	s := &Session{
-		w:  bufio.NewWriter(rw),
-		fr: &frameReader{r: bufio.NewReader(rw)},
+// AppendEnvelope appends env's record to b and returns the extended slice.
+func AppendEnvelope(b []byte, env *Envelope) []byte {
+	var flags byte
+	if env.IsReply {
+		flags |= flagReply
 	}
-	s.enc = gob.NewEncoder(&s.buf)
-	s.dec = gob.NewDecoder(s.fr)
-	return s
+	if env.Sampled {
+		flags |= flagSampled
+	}
+	b = append(b, flags, byte(env.Kind))
+	b = binary.AppendUvarint(b, uint64(env.Req))
+	b = binary.AppendVarint(b, env.Deadline)
+	b = binary.AppendUvarint(b, env.TraceID)
+	b = binary.AppendUvarint(b, env.Span)
+	b = binary.AppendUvarint(b, uint64(len(env.From)))
+	b = append(b, env.From...)
+	return append(b, env.Payload...)
 }
 
-// MarshalEnvelope appends one self-contained envelope encoding, carrying its
-// own type descriptors, to buf (the fresh gob.Encoder is deliberate — a
-// pooled one would omit them and produce an undecodable message).
-func (gobCodec) MarshalEnvelope(env *Envelope, buf *bytes.Buffer) error {
-	if err := gob.NewEncoder(buf).Encode(env); err != nil {
-		return fmt.Errorf("wire: encode envelope: %w", err)
-	}
-	return nil
-}
+var errBadRecord = errors.New("wire: malformed envelope record")
 
-// UnmarshalEnvelope decodes one self-contained envelope.
-func (gobCodec) UnmarshalEnvelope(data []byte) (Envelope, error) {
-	var env Envelope
-	if err := gob.NewDecoder(bytes.NewReader(data)).Decode(&env); err != nil {
-		return Envelope{}, fmt.Errorf("wire: decode envelope: %w", err)
+// ReadEnvelope decodes one envelope record. The returned Payload aliases
+// data (nil when empty), so callers hand it a buffer they no longer write.
+func ReadEnvelope(data []byte) (Envelope, error) {
+	if len(data) < 2 || data[0]&^(flagReply|flagSampled) != 0 {
+		return Envelope{}, errBadRecord // too short, or a flag this format lacks
+	}
+	flags := data[0]
+	var f [5]uint64 // req, deadline (zig-zag), trace, span, from length
+	rest := data[2:]
+	for i := range f {
+		v, n := binary.Uvarint(rest)
+		if n <= 0 {
+			return Envelope{}, errBadRecord
+		}
+		f[i], rest = v, rest[n:]
+	}
+	if f[4] > uint64(len(rest)) {
+		return Envelope{}, errBadRecord
+	}
+	env := Envelope{
+		From:     ids.CoreID(rest[:f[4]]),
+		Req:      ids.RequestID(f[0]),
+		IsReply:  flags&flagReply != 0,
+		Kind:     Kind(data[1]),
+		Deadline: int64(f[1]>>1) ^ -int64(f[1]&1), // binary.Varint's zig-zag
+		TraceID:  f[2],
+		Span:     f[3],
+		Sampled:  flags&flagSampled != 0,
+	}
+	if payload := rest[f[4]:]; len(payload) > 0 {
+		env.Payload = payload
 	}
 	return env, nil
 }
 
-// Session is one connection's streaming envelope coder pair. The two halves
-// are independent: one goroutine may decode while another encodes, but each
-// half itself is not safe for concurrent use — callers serialize writers
-// (frames must not interleave) and run a single read loop.
-//
-// Any error from either half leaves the session's stream state undefined
-// (a partially written frame, a half-consumed message): callers must drop
-// the connection and establish a fresh session rather than continue.
-type Session struct {
-	// encode half
-	w   *bufio.Writer
-	buf bytes.Buffer
-	enc *gob.Encoder
+// --- stream framing ---------------------------------------------------------
 
-	// decode half
-	fr  *frameReader
-	dec *gob.Decoder
+// Gob is the envelope framing for stream transports. Its name is historical:
+// the frames once held a gob stream, and now each holds one envelope record.
+var Gob gobCodec
+
+type gobCodec struct{}
+
+// NewSession binds length-prefixed envelope framing to a connection.
+func (gobCodec) NewSession(rw io.ReadWriter) *Session {
+	return &Session{w: rw, r: bufio.NewReader(rw)}
 }
 
-// EncodeEnvelope appends one framed envelope to the stream and flushes it,
-// returning the bytes written to the connection.
+// Session frames envelope records over one connection. The two halves are
+// independent: one goroutine may decode while another encodes, but each half
+// itself is not safe for concurrent use — callers serialize writers (frames
+// must not interleave) and run a single read loop.
+//
+// A frame does not depend on earlier frames, but a failed write or read
+// leaves the stream at an unknown offset: callers drop the connection on any
+// session error rather than continue.
+type Session struct {
+	w io.Writer
+	r *bufio.Reader
+}
+
+// EncodeEnvelope writes one framed envelope (4-byte big-endian length, then
+// the record) to the connection in a single Write, returning the bytes
+// written.
 func (s *Session) EncodeEnvelope(env *Envelope) (int, error) {
-	s.buf.Reset()
-	if err := s.enc.Encode(env); err != nil {
-		return 0, fmt.Errorf("wire: encode envelope: %w", err)
-	}
-	n := s.buf.Len()
+	buf := GetBuffer()
+	defer PutBuffer(buf)
+	buf.Write([]byte{0, 0, 0, 0}) // the length, filled in below
+	buf.Write(AppendEnvelope(buf.AvailableBuffer(), env))
+	frame := buf.Bytes()
+	n := len(frame) - 4
 	if n > MaxFrame {
-		// The encoder has already advanced its descriptor state for bytes
-		// the peer will never see; the session is desynced (callers drop
-		// the connection on any session error).
 		return 0, fmt.Errorf("wire: envelope of %d bytes exceeds %d byte frame limit", n, MaxFrame)
 	}
-	var hdr [4]byte
-	binary.BigEndian.PutUint32(hdr[:], uint32(n))
-	if _, err := s.w.Write(hdr[:]); err != nil {
+	binary.BigEndian.PutUint32(frame, uint32(n))
+	if _, err := s.w.Write(frame); err != nil {
 		return 0, err
 	}
-	if _, err := s.w.Write(s.buf.Bytes()); err != nil {
-		return 0, err
-	}
-	if err := s.w.Flush(); err != nil {
-		return 0, err
-	}
-	return 4 + n, nil
+	return len(frame), nil
 }
 
-// DecodeEnvelope reads the next envelope from the stream into env, returning
-// the bytes consumed. env should be a fresh zero value: gob does not clear
-// fields absent from the wire. A clean peer close at a frame boundary
-// surfaces as io.EOF.
+// DecodeEnvelope reads the next framed envelope into env, returning the
+// bytes consumed. A clean peer close at a frame boundary surfaces as io.EOF,
+// a close inside a frame as io.ErrUnexpectedEOF.
 func (s *Session) DecodeEnvelope(env *Envelope) (int, error) {
-	start := s.fr.consumed
-	if err := s.dec.Decode(env); err != nil {
-		n := int(s.fr.consumed - start)
-		if errors.Is(err, io.EOF) && !errors.Is(err, io.ErrUnexpectedEOF) {
-			return n, io.EOF
+	var hdr [4]byte
+	if n, err := io.ReadFull(s.r, hdr[:]); err != nil {
+		return n, err
+	}
+	size := binary.BigEndian.Uint32(hdr[:])
+	if size > MaxFrame {
+		return 4, fmt.Errorf("wire: frame of %d bytes exceeds %d byte limit", size, MaxFrame)
+	}
+	body := make([]byte, size)
+	if n, err := io.ReadFull(s.r, body); err != nil {
+		if err == io.EOF {
+			err = io.ErrUnexpectedEOF
 		}
-		return n, fmt.Errorf("wire: decode envelope: %w", err)
+		return 4 + n, fmt.Errorf("wire: decode envelope: %w", err)
 	}
-	// The decoder reads ahead through its internal buffer, so the per-call
-	// byte attribution is approximate; the running total is exact.
-	return int(s.fr.consumed - start), nil
-}
-
-// frameReader adapts the length-prefixed frame stream to the contiguous byte
-// stream gob expects: it serves the payload of the current frame and reads
-// the next frame header transparently when one is exhausted, enforcing
-// MaxFrame so a corrupt prefix cannot allocate unbounded memory. Because the
-// frames of one session concatenate to a single gob stream, decoder read-
-// ahead across a frame boundary is harmless.
-type frameReader struct {
-	r        *bufio.Reader
-	remain   uint32 // unread payload bytes of the current frame
-	consumed int64  // total connection bytes consumed, headers included
-}
-
-func (f *frameReader) Read(p []byte) (int, error) {
-	for f.remain == 0 {
-		var hdr [4]byte
-		if _, err := io.ReadFull(f.r, hdr[:]); err != nil {
-			// io.EOF here is a clean close at a frame boundary.
-			return 0, err
-		}
-		f.consumed += 4
-		n := binary.BigEndian.Uint32(hdr[:])
-		if n > MaxFrame {
-			return 0, fmt.Errorf("wire: frame of %d bytes exceeds %d byte limit", n, MaxFrame)
-		}
-		f.remain = n
-	}
-	if len(p) > int(f.remain) {
-		p = p[:f.remain]
-	}
-	n, err := f.r.Read(p)
-	f.remain -= uint32(n)
-	f.consumed += int64(n)
-	if err == io.EOF && n == 0 {
-		err = io.ErrUnexpectedEOF // connection died mid-frame
-	}
-	return n, err
+	e, err := ReadEnvelope(body)
+	*env = e
+	return 4 + len(body), err
 }

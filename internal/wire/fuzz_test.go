@@ -19,11 +19,10 @@ func sessionOver(data []byte) *Session {
 	return Gob.NewSession(rwPair{Reader: bytes.NewReader(data), Writer: io.Discard})
 }
 
-// FuzzEnvelopeRoundTrip drives the streaming session codec end to end: two
-// envelopes through one session (exercising the streamed-descriptor state),
-// the self-framed Marshal/Unmarshal pair, and the failure paths — truncated
-// frames and corrupted bytes must error, never panic or misreport success as
-// a different envelope.
+// FuzzEnvelopeRoundTrip drives the envelope record and its stream framing
+// end to end: two envelopes through one session, the bare record pair, and
+// the failure paths — truncated frames must error, and corrupted bytes must
+// error or decode, never panic.
 func FuzzEnvelopeRoundTrip(f *testing.F) {
 	f.Add("core-a", uint64(1), false, byte(1), []byte("payload"), int64(0), uint64(0), uint64(0), false)
 	f.Add("core-b", uint64(0), true, byte(24), []byte(nil), int64(-1), uint64(7), uint64(9), true)
@@ -48,19 +47,21 @@ func FuzzEnvelopeRoundTrip(f *testing.F) {
 			t.Fatalf("encode: %v", err)
 		}
 		wireBytes := append([]byte(nil), stream.Bytes()...)
-		// A second envelope on the same session rides the already-streamed
-		// descriptors and must stay decodable in order.
 		n2, err := sess.EncodeEnvelope(&env)
 		if err != nil {
 			t.Fatalf("encode second: %v", err)
 		}
-		if n2 > n1 {
-			t.Fatalf("second envelope grew: %d > %d (descriptors resent?)", n2, n1)
+		if n2 != n1 {
+			t.Fatalf("the same envelope framed to %d then %d bytes", n1, n2)
 		}
 		for i := 0; i < 2; i++ {
 			var got Envelope
-			if _, err := sess.DecodeEnvelope(&got); err != nil {
+			n, err := sess.DecodeEnvelope(&got)
+			if err != nil {
 				t.Fatalf("decode %d: %v", i, err)
+			}
+			if n != n1 {
+				t.Fatalf("decode %d consumed %d bytes, frame is %d", i, n, n1)
 			}
 			requireSameEnvelope(t, env, got)
 		}
@@ -70,9 +71,20 @@ func FuzzEnvelopeRoundTrip(f *testing.F) {
 			t.Fatalf("decode past end: %v, want io.EOF", err)
 		}
 
+		// The frame body is exactly the bare record.
+		record := AppendEnvelope(nil, &env)
+		if !bytes.Equal(wireBytes[4:], record) {
+			t.Fatalf("frame body differs from the record")
+		}
+		got, err := ReadEnvelope(record)
+		if err != nil {
+			t.Fatalf("read record: %v", err)
+		}
+		requireSameEnvelope(t, env, got)
+
 		// Every proper prefix of a single framed envelope must fail to
 		// decode on a fresh session.
-		for _, cut := range []int{0, 1, 3, 4, len(wireBytes) / 2, len(wireBytes) - 1} {
+		for _, cut := range []int{0, 1, 3, 4, 5, len(wireBytes) / 2, len(wireBytes) - 1} {
 			if cut < 0 || cut >= len(wireBytes) {
 				continue
 			}
@@ -82,24 +94,13 @@ func FuzzEnvelopeRoundTrip(f *testing.F) {
 			}
 		}
 
-		// A flipped byte must never panic; it may error or, for payload
-		// bytes outside the framing, still yield an envelope.
+		// A flipped byte must never panic; it may error or, for bytes
+		// outside the framing and the record's fixed fields, still yield
+		// an envelope.
 		bad := append([]byte(nil), wireBytes...)
 		bad[req%uint64(len(bad))] ^= 0xff
-		var got Envelope
 		_, _ = sessionOver(bad).DecodeEnvelope(&got)
-
-		// Self-framed regime (netsim path) with a pooled buffer.
-		buf := GetBuffer()
-		defer PutBuffer(buf)
-		if err := Gob.MarshalEnvelope(&env, buf); err != nil {
-			t.Fatalf("marshal: %v", err)
-		}
-		got2, err := Gob.UnmarshalEnvelope(buf.Bytes())
-		if err != nil {
-			t.Fatalf("unmarshal: %v", err)
-		}
-		requireSameEnvelope(t, env, got2)
+		_, _ = ReadEnvelope(bad[4:])
 	})
 }
 

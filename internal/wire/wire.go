@@ -1,8 +1,8 @@
 // Package wire defines the messages cores exchange (the payloads of the peer
 // interface layer) and the codecs for parameter passing and complet movement.
 // It is the substitution for Java Serialization + RMI marshaling in the
-// original system: gob-encoded envelopes with reference-aware argument and
-// closure encoding (see DESIGN.md).
+// original system: envelope records carrying gob-encoded payloads, with
+// reference-aware argument and closure encoding (see DESIGN.md).
 package wire
 
 import (
@@ -118,9 +118,9 @@ func (k Kind) String() string {
 	return fmt.Sprintf("Kind(%d)", uint8(k))
 }
 
-// Envelope is the unit of core-to-core communication. The payload is an
-// independently gob-encoded per-kind struct, so envelope decoding never needs
-// application types.
+// Envelope is the unit of core-to-core communication, on the wire as one
+// record (AppendEnvelope). The payload is an independently gob-encoded
+// per-kind struct, so envelope decoding never needs application types.
 type Envelope struct {
 	From    ids.CoreID
 	Req     ids.RequestID

@@ -1,7 +1,6 @@
 package wire
 
 import (
-	"bytes"
 	"context"
 	"encoding/gob"
 	"strings"
@@ -32,11 +31,7 @@ func TestEnvelopeRoundtrip(t *testing.T) {
 			Kind:    Kind(kind),
 			Payload: payload,
 		}
-		var buf bytes.Buffer
-		if err := Gob.MarshalEnvelope(&env, &buf); err != nil {
-			return false
-		}
-		got, err := Gob.UnmarshalEnvelope(buf.Bytes())
+		got, err := ReadEnvelope(AppendEnvelope(nil, &env))
 		if err != nil {
 			return false
 		}
@@ -53,8 +48,18 @@ func TestEnvelopeRoundtrip(t *testing.T) {
 }
 
 func TestDecodeEnvelopeGarbage(t *testing.T) {
-	if _, err := Gob.UnmarshalEnvelope([]byte("not gob")); err == nil {
-		t.Fatal("garbage should not decode")
+	valid := AppendEnvelope(nil, &Envelope{From: "core-a", Req: 3, Kind: KindInvoke, Payload: []byte("p")})
+	for name, data := range map[string][]byte{
+		"text":          []byte("not a record"),
+		"empty":         nil,
+		"flags only":    valid[:1],
+		"unknown flag":  append([]byte{0x80}, valid[1:]...),
+		"cut varint":    {0, byte(KindInvoke), 0x80},
+		"from too long": append(append([]byte(nil), valid[:6]...), 0x7f, 'a'),
+	} {
+		if _, err := ReadEnvelope(data); err == nil {
+			t.Errorf("%s: decoded", name)
+		}
 	}
 }
 
